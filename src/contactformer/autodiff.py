@@ -130,7 +130,6 @@ class Parameter:
 
     name: str
     tensor: Tensor
-    trainable: bool = True
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:

@@ -27,7 +27,7 @@ from .data import (
     stratified_split,
 )
 from .model import ModelConfig, hash_text, load_checkpoint
-from .train import Divergence, TrainConfig, evaluate, history_to_csv, train
+from .train import Divergence, TrainConfig, evaluate, history_to_csv, predict, train
 
 REJECT_REASONS = ("NOT_FOUND", "MALFORMED", "INCOMPLETE", "NONSTANDARD")
 
@@ -223,7 +223,7 @@ def cmd_embed(args) -> int:
     else:
         entries, _, label_hash = _load_split(args.data, args.manifest, args.split)
     config, params, _ = load_checkpoint(args.checkpoint, expected_label_hash=label_hash)
-    _, _, pooled = evaluate(config, params, entries, batch_size=args.batch_size)
+    pooled = np.concatenate([p for _, _, p in predict(entries, config, params, args.batch_size)])
     with open(args.out, "w", encoding="utf-8") as fh:
         for entry, vec in zip(entries, pooled):
             joined = ",".join(f"{v:.8g}" for v in vec)

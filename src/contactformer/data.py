@@ -193,7 +193,6 @@ class EncodedBatch:
     key_padding_mask: np.ndarray  # (B, L) bool, true = pad
     attention_masks: np.ndarray   # (B, L, L) bool, true = may not attend
     labels: np.ndarray            # (B,) int64
-    lengths: np.ndarray           # (B,) int64
 
 
 def batch_encode(
@@ -207,8 +206,8 @@ def batch_encode(
     the matching leading square of their contact map. In "contact" mode
     the attention mask is the negated contact map inside each sample's
     valid square; in "full" mode that square is all-false (sequence-only
-    attention). Padded rows/columns stay all-true and are nullified by
-    the key-padding mask downstream.
+    attention). Padded rows and columns stay all-true, so the attention
+    mask alone keeps padded keys out of every query's softmax.
     """
     if not entries:
         raise EmptyDataset("cannot encode an empty batch")
@@ -229,7 +228,6 @@ def batch_encode(
     key_pad = np.ones((b, l), dtype=bool)
     attn = np.ones((b, l, l), dtype=bool)
     labels = np.zeros(b, dtype=np.int64)
-    lengths = np.zeros(b, dtype=np.int64)
     for bi, (toks, cmap, label) in enumerate(rows):
         n = len(toks)
         tokens[bi, :n] = toks
@@ -239,8 +237,7 @@ def batch_encode(
         else:
             attn[bi, :n, :n] = False
         labels[bi] = label
-        lengths[bi] = n
-    return EncodedBatch(tokens, key_pad, attn, labels, lengths)
+    return EncodedBatch(tokens, key_pad, attn, labels)
 
 
 # --- file formats ---------------------------------------------------------

@@ -4,8 +4,8 @@ Architecture: token embedding scaled by sqrt(d) plus sinusoidal positional
 encoding, a stack of post-norm encoder layers (multi-head self-attention,
 then a ReLU feed-forward block, each wrapped in dropout + residual +
 layer norm), masked-mean pooling over non-pad positions, and a linear
-classifier head. The per-pair attention mask (true = may not attend) and
-the key-padding mask jointly decide which keys each query sees.
+classifier head. One per-pair attention mask (true = may not attend)
+decides which keys each query sees; padded keys are disallowed in it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 
 CHECKPOINT_MAGIC = b"CFCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 ATTENTION_MODES = ("contact", "full")
 
@@ -126,19 +126,17 @@ def count_parameters(config: ModelConfig) -> int:
 def multi_head_attention(
     x: Tensor,
     attn_mask: np.ndarray,
-    key_pad: np.ndarray,
     params: dict[str, Parameter],
     n_heads: int,
     prefix: str = "attn",
-    return_weights: bool = False,
-):
+) -> Tensor:
     """Masked multi-head self-attention over x of shape (B, L, d).
 
     attn_mask is (B, L, L) boolean, true = query i may NOT attend key j;
-    key_pad is (B, L) boolean, true = padded key. A key disallowed by
-    either mask gets attention weight exactly 0. Fully masked (padded)
-    query rows produce zero context vectors; valid rows always keep at
-    least their diagonal, so their weights sum to 1.
+    a disallowed key gets attention weight exactly 0. Padded keys must be
+    disallowed (batch_encode marks every padded row and column). Fully
+    masked (padded) query rows produce zero context vectors; valid rows
+    always keep at least their diagonal, so their weights sum to 1.
     """
     b, l, d = x.shape
     if d % n_heads != 0:
@@ -157,31 +155,25 @@ def multi_head_attention(
     v = split_heads(proj("v"))
 
     scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
-    disallow = attn_mask[:, None, :, :] | key_pad[:, None, None, :]
-    weights = ad.masked_softmax(scores, disallow, allow_empty=True)
+    weights = ad.masked_softmax(scores, attn_mask[:, None], allow_empty=True)
 
     ctx = ad.reshape(ad.transpose(ad.matmul(weights, v), (0, 2, 1, 3)), (b, l, d))
-    out = ad.linear(ctx, params[f"{prefix}.out.weight"].tensor,
-                    params[f"{prefix}.out.bias"].tensor)
-    if return_weights:
-        return out, weights.data
-    return out
+    return ad.linear(ctx, params[f"{prefix}.out.weight"].tensor,
+                     params[f"{prefix}.out.bias"].tensor)
 
 
 def encoder_layers_forward(
     x: Tensor,
     attn_mask: np.ndarray,
-    key_pad: np.ndarray,
     config: ModelConfig,
     params: dict[str, Parameter],
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
-) -> tuple[Tensor, list[np.ndarray]]:
+) -> Tensor:
     """Run the post-norm layer stack on prepared states x (B, L, d)."""
-    states = []
     for i in range(config.n_layers):
         pre = f"layers.{i}"
-        attn = multi_head_attention(x, attn_mask, key_pad, params, config.n_heads,
+        attn = multi_head_attention(x, attn_mask, params, config.n_heads,
                                     prefix=f"{pre}.attn")
         x = ad.layer_norm(ad.add(x, ad.dropout(attn, config.dropout, rng, train_mode)),
                           params[f"{pre}.ln1.scale"].tensor, params[f"{pre}.ln1.shift"].tensor)
@@ -191,8 +183,7 @@ def encoder_layers_forward(
                        params[f"{pre}.ffn.w2.bias"].tensor)
         x = ad.layer_norm(ad.add(x, ad.dropout(ff, config.dropout, rng, train_mode)),
                           params[f"{pre}.ln2.scale"].tensor, params[f"{pre}.ln2.shift"].tensor)
-        states.append(x.data)
-    return x, states
+    return x
 
 
 def encoder_forward(
@@ -201,10 +192,10 @@ def encoder_forward(
     params: dict[str, Parameter],
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
-) -> tuple[Tensor, Tensor, list[np.ndarray]]:
+) -> tuple[Tensor, Tensor]:
     """Full forward pass over an EncodedBatch.
 
-    Returns (logits (B, C), pooled (B, d), per-layer states). Pooling is
+    Returns (logits (B, C), pooled (B, d)). Pooling is
     the mean of the last layer's states over non-pad positions. Dropout
     is active only in train_mode (eval passes are deterministic).
     """
@@ -225,13 +216,11 @@ def encoder_forward(
         x = ad.add(x, Tensor(positional_encoding(l, config.embed_dim, dtype=embed.data.dtype)))
     x = ad.dropout(x, config.dropout, rng, train_mode)
 
-    x, states = encoder_layers_forward(
-        x, batch.attention_masks, batch.key_padding_mask, config, params, train_mode, rng
-    )
+    x = encoder_layers_forward(x, batch.attention_masks, config, params, train_mode, rng)
     pooled = ad.masked_mean(x, ~batch.key_padding_mask)
     logits = ad.linear(pooled, params["classifier.weight"].tensor,
                        params["classifier.bias"].tensor)
-    return logits, pooled, states
+    return logits, pooled
 
 
 # --- checkpointing -------------------------------------------------------
@@ -248,8 +237,7 @@ def save_checkpoint(
     for name, p in params.items():
         arr = np.ascontiguousarray(p.tensor.data)
         code = {np.dtype(np.float32): "<f4", np.dtype(np.float64): "<f8"}[arr.dtype]
-        manifest.append({"name": name, "shape": list(arr.shape), "dtype": code,
-                         "trainable": p.trainable})
+        manifest.append({"name": name, "shape": list(arr.shape), "dtype": code})
         blobs.append(arr.astype(code, copy=False).tobytes())
     header = json.dumps(
         {"config": asdict(config), "label_index_hash": label_index_hash,
@@ -269,13 +257,17 @@ def load_checkpoint(
     expected_config: ModelConfig | None = None,
     expected_label_hash: str | None = None,
 ) -> tuple[ModelConfig, dict[str, Parameter], str]:
-    """Load and validate a checkpoint; round-trips bit-exactly."""
+    """Load and validate a checkpoint; round-trips bit-exactly.
+
+    Version 1 files also load: their per-tensor "trainable" field, always
+    true, is ignored.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointError(f"bad magic {magic!r}")
         version, header_len = struct.unpack("<IQ", fh.read(12))
-        if version != CHECKPOINT_VERSION:
+        if version not in (1, CHECKPOINT_VERSION):
             raise CheckpointError(f"unsupported checkpoint version {version}")
         header = json.loads(fh.read(header_len).decode("utf-8"))
         config = ModelConfig(**header["config"])
@@ -292,9 +284,7 @@ def load_checkpoint(
             count = int(np.prod(shape)) if shape else 1
             raw = fh.read(count * np.dtype(entry["dtype"]).itemsize)
             arr = np.frombuffer(raw, dtype=entry["dtype"]).reshape(shape).copy()
-            params[entry["name"]] = Parameter(
-                entry["name"], Tensor(arr, requires_grad=True), entry["trainable"]
-            )
+            params[entry["name"]] = Parameter(entry["name"], Tensor(arr, requires_grad=True))
     return config, params, label_hash
 
 

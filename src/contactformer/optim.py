@@ -33,7 +33,7 @@ def adam_step(
     eps: float = 1e-8,
     weight_decay: float = 0.01,
 ) -> AdamState:
-    """One in-place update over all trainable params with a .grad buffer.
+    """One in-place update over all params with a .grad buffer.
 
     Raises ShapeMismatch if a gradient or moment buffer disagrees with its
     parameter's shape.
@@ -43,7 +43,7 @@ def adam_step(
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
     for name, p in params.items():
-        if not p.trainable or p.tensor.grad is None:
+        if p.tensor.grad is None:
             continue
         x = p.tensor.data
         g = p.tensor.grad

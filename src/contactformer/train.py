@@ -68,38 +68,41 @@ def softmax_np(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _weighted_nll(logits: np.ndarray, labels: np.ndarray, weights: np.ndarray):
-    """Per-batch (sum of w * nll, sum of w, correct count) in plain numpy."""
-    z = logits - logits.max(axis=-1, keepdims=True)
-    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    nll = -logp[np.arange(labels.size), labels]
-    w = weights[labels]
-    correct = int((logits.argmax(axis=1) == labels).sum())
-    return float((w * nll).sum()), float(w.sum()), correct
-
-
 def _batches(n: int, batch_size: int, order=None):
     idx = np.arange(n) if order is None else order
     for start in range(0, n, batch_size):
         yield idx[start:start + batch_size]
 
 
+def predict(entries: list[Entry], config: ModelConfig, params: dict, batch_size: int = 64):
+    """Eval-mode forward pass over entries, in order, one batch at a time.
+
+    Yields (labels (b,), logits (b, C) as float64, pooled (b, d)) per batch.
+    Raises ValueError on an empty entry list.
+    """
+    if not entries:
+        raise ValueError("cannot predict on an empty entry list")
+    for sel in _batches(len(entries), batch_size):
+        batch = batch_encode([entries[i] for i in sel], config.max_len,
+                             config.attention_mode)
+        with ad.no_grad():
+            logits, pooled = encoder_forward(batch, config, params, train_mode=False)
+        yield batch.labels, logits.data.astype(np.float64), pooled.data
+
+
 def _eval_loss(entries, config, params, weights, batch_size):
-    total_wnll = total_w = 0.0
+    """(class-weighted mean NLL, accuracy) over entries in eval mode."""
+    total_wnll = total_w = plain_nll = 0.0
     correct = 0
-    plain_nll = 0.0
-    with ad.no_grad():
-        for sel in _batches(len(entries), batch_size):
-            batch = batch_encode([entries[i] for i in sel], config.max_len,
-                                 config.attention_mode)
-            logits, _, _ = encoder_forward(batch, config, params, train_mode=False)
-            wnll, wsum, ok = _weighted_nll(logits.data, batch.labels, weights)
-            total_wnll += wnll
-            total_w += wsum
-            correct += ok
-            unit = np.ones_like(weights)
-            plain, _, _ = _weighted_nll(logits.data, batch.labels, unit)
-            plain_nll += plain
+    for labels, logits, _ in predict(entries, config, params, batch_size):
+        z = logits - logits.max(axis=-1, keepdims=True)
+        logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+        nll = -logp[np.arange(labels.size), labels]
+        w = weights[labels]
+        total_wnll += float((w * nll).sum())
+        total_w += float(w.sum())
+        plain_nll += float(nll.sum())
+        correct += int((logits.argmax(axis=1) == labels).sum())
     # total_w can be 0 only if every class in `entries` is absent from train
     loss = total_wnll / total_w if total_w > 0 else plain_nll / len(entries)
     return loss, correct / len(entries)
@@ -170,8 +173,8 @@ def train(
         for batch_index, sel in enumerate(_batches(len(train_entries), cfg.batch_size, order)):
             batch = batch_encode([train_entries[i] for i in sel],
                                  model_config.max_len, model_config.attention_mode)
-            logits, _, _ = encoder_forward(batch, model_config, params,
-                                           train_mode=True, rng=dropout_rng)
+            logits, _ = encoder_forward(batch, model_config, params,
+                                        train_mode=True, rng=dropout_rng)
             loss = ad.weighted_cross_entropy(logits, batch.labels, weights)
             loss_value = loss.item()
             if not np.isfinite(loss_value):
@@ -220,17 +223,11 @@ def evaluate(
     class_sizes, if given, must be the per-class counts of the complete
     pre-split dataset; they drive the class-size threshold breakdowns.
     """
-    if not entries:
-        raise ValueError("cannot evaluate an empty entry list")
     probs = []
     pooled_rows = []
-    with ad.no_grad():
-        for sel in _batches(len(entries), batch_size):
-            batch = batch_encode([entries[i] for i in sel], config.max_len,
-                                 config.attention_mode)
-            logits, pooled, _ = encoder_forward(batch, config, params, train_mode=False)
-            probs.append(softmax_np(logits.data.astype(np.float64)))
-            pooled_rows.append(pooled.data)
+    for _, logits, pooled in predict(entries, config, params, batch_size):
+        probs.append(softmax_np(logits))
+        pooled_rows.append(pooled)
     prob = np.concatenate(probs, axis=0)
     labels = np.array([e.label for e in entries])
     report = full_report(prob, labels, class_sizes=class_sizes)

@@ -48,7 +48,7 @@ def test_gradient_fidelity():
     batch = batch_encode(entries)
 
     def f():
-        logits, _, _ = encoder_forward(batch, cfg, params, train_mode=False)
+        logits, _ = encoder_forward(batch, cfg, params, train_mode=False)
         return ad.weighted_cross_entropy(logits, batch.labels, np.ones(4))
 
     # h = 5e-4: small enough for truncation, large enough that the fp
@@ -75,13 +75,12 @@ def test_mask_locality():
         dense = cmap.dense()
 
         x = rng.standard_normal((1, n, cfg.embed_dim))
-        base, _ = encoder_layers_forward(Tensor(x), batch.attention_masks,
-                                         batch.key_padding_mask, cfg, params)
+        base = encoder_layers_forward(Tensor(x), batch.attention_masks, cfg, params)
         for j in range(n):
             bumped = x.copy()
             bumped[0, j] += 0.05 * rng.standard_normal(cfg.embed_dim) + 0.05
-            out, _ = encoder_layers_forward(Tensor(bumped), batch.attention_masks,
-                                            batch.key_padding_mask, cfg, params)
+            out = encoder_layers_forward(Tensor(bumped), batch.attention_masks,
+                                         cfg, params)
             delta = np.abs(out.data - base.data).max(axis=-1)[0]
             for i in range(n):
                 if dense[i, j]:
@@ -100,8 +99,8 @@ def test_padding_invariance():
         params = init_params(cfg, rng)
         batch = batch_encode(random_entries(rng, int(rng.integers(1, 4))))
         extra = int(rng.integers(1, 65))
-        base, _, _ = encoder_forward(batch, cfg, params)
-        wide, _, _ = encoder_forward(pad_batch(batch, extra), cfg, params)
+        base, _ = encoder_forward(batch, cfg, params)
+        wide, _ = encoder_forward(pad_batch(batch, extra), cfg, params)
         worst = np.abs(base.data - wide.data).max()
         assert worst < 1e-5, f"case {case}: logits moved by {worst:.2e}"
 

@@ -149,12 +149,11 @@ class TestBatchEncode:
         assert batch.tokens.shape == (2, 3)
         assert batch.key_padding_mask[0].tolist() == [False, False, True]
         assert batch.key_padding_mask[1].tolist() == [False, False, False]
-        assert batch.lengths.tolist() == [2, 3]
+        assert (~batch.key_padding_mask).sum(axis=1).tolist() == [2, 3]
 
     def test_pad_iff_token_zero_iff_beyond_length(self):
         batch = batch_encode([entry("a", "AC"), entry("b", "ACDEF")])
-        for b in range(2):
-            n = batch.lengths[b]
+        for b, n in enumerate((2, 5)):
             assert ((batch.tokens[b] == 0) == batch.key_padding_mask[b]).all()
             assert batch.key_padding_mask[b, n:].all()
             assert not batch.key_padding_mask[b, :n].any()
@@ -187,7 +186,7 @@ class TestBatchEncode:
             take = [p for p in all_pairs if rng.random() < 0.2]
             entries.append(entry(f"e{k}", seq, pairs=take))
         batch = batch_encode(entries)
-        for b, n in enumerate(batch.lengths):
+        for b, n in enumerate((~batch.key_padding_mask).sum(axis=1)):
             rows = batch.attention_masks[b, :n]
             assert (~rows).any(axis=1).all()
             assert not rows.diagonal().any()

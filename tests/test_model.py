@@ -1,4 +1,7 @@
+import json
 import math
+import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from contactformer.autodiff import Tensor
 from contactformer.contacts import ContactMap
 from contactformer.data import EncodedBatch, Entry, batch_encode
 from contactformer.model import (
+    CHECKPOINT_MAGIC,
     CheckpointError,
     ConfigMismatch,
     ModelConfig,
@@ -49,7 +53,7 @@ def pad_batch(batch: EncodedBatch, extra: int) -> EncodedBatch:
     key_pad[:, :l] = batch.key_padding_mask
     attn = np.ones((b, l + extra, l + extra), dtype=bool)
     attn[:, :l, :l] = batch.attention_masks
-    return EncodedBatch(tokens, key_pad, attn, batch.labels, batch.lengths)
+    return EncodedBatch(tokens, key_pad, attn, batch.labels)
 
 
 class TestPositionalEncoding:
@@ -120,8 +124,7 @@ class TestMultiHeadAttention:
                              rng, dtype=np.float64)
         pfx = "layers.0.attn"
         attn_mask = np.zeros((1, 2, 2), dtype=bool)
-        key_pad = np.zeros((1, 2), dtype=bool)
-        out = multi_head_attention(Tensor(x_np), attn_mask, key_pad, params,
+        out = multi_head_attention(Tensor(x_np), attn_mask, params,
                                    n_heads=1, prefix=pfx)
 
         # explicit 2x2 recomputation
@@ -138,17 +141,29 @@ class TestMultiHeadAttention:
         expected = (weights @ v) @ w("out") + b("out")
         assert np.allclose(out.data[0], expected, atol=1e-12)
 
-    def test_attention_rows_sum_to_one_and_masked_entries_zero(self):
+    def test_attention_rows_sum_to_one_and_masked_entries_zero(self, monkeypatch):
         rng = np.random.default_rng(1)
         cfg = tiny_config()
         entries = random_entries(rng, 5)
         batch = batch_encode(entries)
         params = init_params(cfg, rng)
         x = ad.embedding(params["embed.weight"].tensor, batch.tokens)
-        _, weights = multi_head_attention(
-            x, batch.attention_masks, batch.key_padding_mask, params,
-            cfg.n_heads, prefix="layers.0.attn", return_weights=True)
-        for bi, n in enumerate(batch.lengths):
+
+        # the attention weights are the output of the layer's masked softmax
+        captured = []
+        original = ad.masked_softmax
+
+        def capture(*args, **kwargs):
+            out = original(*args, **kwargs)
+            captured.append(out.data)
+            return out
+
+        monkeypatch.setattr(ad, "masked_softmax", capture)
+        multi_head_attention(x, batch.attention_masks, params, cfg.n_heads,
+                             prefix="layers.0.attn")
+        (weights,) = captured
+        lengths = (~batch.key_padding_mask).sum(axis=1)
+        for bi, n in enumerate(lengths):
             valid = weights[bi, :, :n, :]
             assert np.allclose(valid.sum(axis=-1), 1.0, atol=1e-6)
             disallow = (batch.attention_masks[bi][None, :, :]
@@ -165,18 +180,20 @@ class TestEncoderForward:
         entries = random_entries(rng, 6)
         batch = batch_encode(entries)
         params = init_params(cfg, rng)
-        logits, pooled, states = encoder_forward(batch, cfg, params)
+        logits, pooled = encoder_forward(batch, cfg, params)
         assert logits.shape == (6, cfg.n_classes)
         assert pooled.shape == (6, cfg.embed_dim)
-        assert len(states) == 2 and states[0].shape == batch.tokens.shape + (8,)
+        x = Tensor(np.zeros(batch.tokens.shape + (cfg.embed_dim,), dtype=np.float32))
+        states = encoder_layers_forward(x, batch.attention_masks, cfg, params)
+        assert states.shape == batch.tokens.shape + (8,)
 
     def test_eval_mode_bit_deterministic(self):
         rng = np.random.default_rng(3)
         cfg = tiny_config(dropout=0.1)
         batch = batch_encode(random_entries(rng, 4))
         params = init_params(cfg, rng)
-        a, _, _ = encoder_forward(batch, cfg, params, train_mode=False)
-        b, _, _ = encoder_forward(batch, cfg, params, train_mode=False)
+        a, _ = encoder_forward(batch, cfg, params, train_mode=False)
+        b, _ = encoder_forward(batch, cfg, params, train_mode=False)
         assert np.array_equal(a.data, b.data)
 
     def test_train_mode_dropout_needs_rng(self):
@@ -198,8 +215,8 @@ class TestEncoderForward:
         cfg = tiny_config(n_layers=2)
         params = init_params(cfg, rng)
         batch = batch_encode(random_entries(rng, 3))
-        base, pooled_base, _ = encoder_forward(batch, cfg, params)
-        wide, pooled_wide, _ = encoder_forward(pad_batch(batch, 16), cfg, params)
+        base, pooled_base = encoder_forward(batch, cfg, params)
+        wide, pooled_wide = encoder_forward(pad_batch(batch, 16), cfg, params)
         assert np.abs(base.data - wide.data).max() < 1e-5
         assert np.abs(pooled_base.data - pooled_wide.data).max() < 1e-5
 
@@ -211,10 +228,8 @@ class TestEncoderForward:
         batch = batch_encode(entries)
 
         def states_for(x_np):
-            out, _ = encoder_layers_forward(
-                Tensor(x_np), batch.attention_masks, batch.key_padding_mask,
-                cfg, params)
-            return out.data
+            return encoder_layers_forward(Tensor(x_np), batch.attention_masks,
+                                          cfg, params).data
 
         x = rng.standard_normal((1, batch.tokens.shape[1], cfg.embed_dim))
         base = states_for(x)
@@ -240,8 +255,8 @@ class TestEncoderForward:
         batch_c = batch_encode(entries, attention_mode="contact")
         batch_f = batch_encode(entries, attention_mode="full")
         assert np.array_equal(batch_c.attention_masks, batch_f.attention_masks)
-        out_c, _, _ = encoder_forward(batch_c, cfg_contact, params)
-        out_f, _, _ = encoder_forward(batch_f, cfg_full, params)
+        out_c, _ = encoder_forward(batch_c, cfg_contact, params)
+        out_f, _ = encoder_forward(batch_f, cfg_full, params)
         assert np.array_equal(out_c.data, out_f.data)
 
     def test_one_layer_locality_follows_contacts(self):
@@ -250,17 +265,16 @@ class TestEncoderForward:
         params = init_params(cfg, rng, dtype=np.float64)
         entries = random_entries(rng, 1, length_range=(6, 7), contact_prob=0.4)
         batch = batch_encode(entries)
-        n = int(batch.lengths[0])
+        n = int((~batch.key_padding_mask[0]).sum())
         dense = entries[0].contact_map.dense()
 
         x = rng.standard_normal((1, n, cfg.embed_dim))
-        base, _ = encoder_layers_forward(Tensor(x), batch.attention_masks,
-                                         batch.key_padding_mask, cfg, params)
+        base = encoder_layers_forward(Tensor(x), batch.attention_masks, cfg, params)
         for j in range(n):
             bumped = x.copy()
             bumped[0, j] += 0.05
-            out, _ = encoder_layers_forward(Tensor(bumped), batch.attention_masks,
-                                            batch.key_padding_mask, cfg, params)
+            out = encoder_layers_forward(Tensor(bumped), batch.attention_masks,
+                                         cfg, params)
             delta = np.abs(out.data - base.data).max(axis=-1)[0]
             for i in range(n):
                 if dense[i, j]:
@@ -274,8 +288,8 @@ class TestEncoderForward:
         cfg_pe = tiny_config()
         cfg_nope = tiny_config(use_positional=False)
         params = init_params(cfg_pe, rng)
-        with_pe, _, _ = encoder_forward(batch, cfg_pe, params)
-        without, _, _ = encoder_forward(batch, cfg_nope, params)
+        with_pe, _ = encoder_forward(batch, cfg_pe, params)
+        without, _ = encoder_forward(batch, cfg_nope, params)
         assert not np.allclose(with_pe.data, without.data)
 
 
@@ -318,6 +332,36 @@ class TestCheckpoint:
         save_checkpoint(path, cfg, init_params(cfg, rng), label_index_hash="aaa")
         with pytest.raises(ConfigMismatch):
             load_checkpoint(path, expected_label_hash="bbb")
+
+    def test_version_1_file_loads_bit_exact(self, tmp_path):
+        # v1 wrote a per-tensor "trainable" field (always true); v2 dropped it
+        rng = np.random.default_rng(15)
+        cfg = tiny_config()
+        params = init_params(cfg, rng)
+        manifest = [{"name": name, "shape": list(p.tensor.shape), "dtype": "<f4",
+                     "trainable": True} for name, p in params.items()]
+        header = json.dumps({"config": asdict(cfg), "label_index_hash": "v1",
+                             "tensors": manifest}, sort_keys=True).encode("utf-8")
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<IQ", 1, len(header)) + header
+                         + b"".join(p.tensor.data.tobytes() for p in params.values()))
+        cfg2, params2, label_hash = load_checkpoint(path)
+        assert cfg2 == cfg and label_hash == "v1"
+        assert list(params2) == list(params)
+        for name in params:
+            a, b = params[name].tensor.data, params2[name].tensor.data
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_unknown_version_rejected(self, tmp_path):
+        rng = np.random.default_rng(16)
+        cfg = tiny_config()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, cfg, init_params(cfg, rng))
+        raw = bytearray(path.read_bytes())
+        raw[4:8] = struct.pack("<I", 3)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"

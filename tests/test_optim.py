@@ -5,11 +5,11 @@ from contactformer.autodiff import Parameter, ShapeMismatch, Tensor
 from contactformer.optim import AdamState, adam_step
 
 
-def param(name, data, grad=None, trainable=True):
+def param(name, data, grad=None):
     t = Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
     if grad is not None:
         t.grad = np.asarray(grad, dtype=np.float64)
-    return Parameter(name, t, trainable)
+    return Parameter(name, t)
 
 
 def reference_adam(x0, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8, wd=0.01):
@@ -71,11 +71,6 @@ class TestAdamStep:
         p = param("w", [1.0, 2.0], grad=[1.0])
         with pytest.raises(ShapeMismatch):
             adam_step({"w": p}, AdamState(), lr=0.1)
-
-    def test_frozen_parameter_skipped(self):
-        p = param("w", [1.0], grad=[5.0], trainable=False)
-        adam_step({"w": p}, AdamState(), lr=0.1)
-        assert p.tensor.data[0] == 1.0
 
     def test_missing_gradient_skipped(self):
         p = param("w", [1.0])

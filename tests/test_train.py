@@ -13,6 +13,7 @@ from contactformer.train import (
     _eval_loss,
     evaluate,
     history_to_csv,
+    predict,
     train,
 )
 
@@ -140,6 +141,19 @@ class TestEvaluate:
         preds = prob.argmax(axis=1)
         labels = np.array([e.label for e in entries])
         assert report.accuracy == (preds == labels).mean()
+
+    def test_predict_yields_every_entry_in_order(self):
+        entries = overfit_dataset(10, 4, length=8, seed=8)
+        cfg = overfit_config()
+        from contactformer.model import init_params
+        params = init_params(cfg, np.random.default_rng(0))
+        batches = list(predict(entries, cfg, params, batch_size=4))
+        assert [labels.size for labels, _, _ in batches] == [4, 4, 2]
+        assert (np.concatenate([labels for labels, _, _ in batches]).tolist()
+                == [e.label for e in entries])
+        assert all(logits.dtype == np.float64 for _, logits, _ in batches)
+        _, _, pooled = evaluate(cfg, params, entries, batch_size=4)
+        assert np.array_equal(np.concatenate([p for _, _, p in batches]), pooled)
 
     def test_empty_entries_rejected(self):
         cfg = overfit_config()
