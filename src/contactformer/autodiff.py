@@ -348,7 +348,7 @@ def masked_mean(x: Tensor, keep: np.ndarray) -> Tensor:
     keep = np.asarray(keep, dtype=bool)
     if x.data.ndim != 3 or keep.shape != x.shape[:2]:
         raise ShapeMismatch(f"masked_mean: x {x.shape}, keep {keep.shape}")
-    counts = keep.sum(axis=1)
+    counts = keep.sum(axis=1).astype(x.data.dtype)
     if (counts == 0).any():
         raise ValueError("masked_mean: a row keeps zero positions")
     kf = keep.astype(x.data.dtype)

@@ -162,6 +162,37 @@ class TestEvaluate:
             evaluate(cfg, init_params(cfg, np.random.default_rng(0)), [])
 
 
+class TestFloat32:
+    def test_training_step_stays_float32(self, monkeypatch):
+        from contactformer import autodiff as ad
+        from contactformer.data import batch_encode, compute_class_weights
+        from contactformer.model import encoder_forward, init_params
+
+        entries = overfit_dataset(8, 4, length=6, seed=9)
+        cfg = overfit_config(dropout=0.1)
+        params = init_params(cfg, np.random.default_rng(0), dtype=np.float32)
+        batch = batch_encode(entries)
+        weights = compute_class_weights(batch.labels, cfg.n_classes)
+
+        # every op builds its output through autodiff._make
+        dtypes = []
+        make = ad._make
+
+        def recording(data, parents, backward):
+            out = make(data, parents, backward)
+            dtypes.append(out.data.dtype)
+            return out
+
+        monkeypatch.setattr(ad, "_make", recording)
+        logits, pooled = encoder_forward(batch, cfg, params, train_mode=True,
+                                         rng=np.random.default_rng(1))
+        loss = ad.weighted_cross_entropy(logits, batch.labels, weights)
+        loss.backward()
+        assert dtypes and set(dtypes) == {np.dtype(np.float32)}
+        assert logits.dtype == pooled.dtype == loss.dtype == np.float32
+        assert all(p.tensor.grad.dtype == np.float32 for p in params.values())
+
+
 class TestHistoryCsv:
     def test_format(self):
         history = [EpochRecord(1, 1.5, 1.25, 0.5)]
