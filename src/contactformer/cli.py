@@ -67,13 +67,13 @@ def _prep_one(task):
     """Process one index row; returns (row, sequence, contact_text, reason, detail)."""
     row, pdb_dir, threshold = task
     path = Path(pdb_dir) / row.pdb_path
-    if not path.exists():
+    if not path.is_file():
         return row, None, None, "NOT_FOUND", str(path)
     text = path.read_text(encoding="utf-8", errors="replace")
     try:
         chain = pdb_io.parse_structure(text, row.chain_id, row.residue_range,
                                        pdb_id=row.entry_id[:4])
-    except pdb_io.PdbParseError as exc:
+    except ValueError as exc:  # PdbParseError, or a chain id that is not one character
         return row, None, None, "MALFORMED", str(exc)
     report = pdb_io.check_completeness(chain, row.residue_range)
     if report.n_gaps > 0 or report.n_missing_ca > 0:
@@ -147,14 +147,19 @@ def cmd_split(args) -> int:
 
 # --- shared loading --------------------------------------------------------
 
-def _load_split(data_dir, manifest_path, split: str) -> tuple[list[Entry], list[Entry], str]:
-    """Returns (entries of split, all entries, label index hash)."""
+def _load_splits(data_dir, manifest_path=None) -> tuple[dict[str, list[Entry]], str]:
+    """Returns ({split: entries}, label index hash) from one parse of processed.tsv.
+
+    Split "all" holds every entry; the manifest, if given, adds its splits.
+    """
     entries = load_entries(Path(data_dir) / "processed.tsv")
     label_hash = hash_text((Path(data_dir) / "labels.tsv").read_text(encoding="utf-8"))
-    by_id = {e.id: e for e in entries}
-    manifest = SplitManifest.from_json(Path(manifest_path).read_text(encoding="utf-8"))
-    picked = [by_id[i] for i in manifest.ids[split]]
-    return picked, entries, label_hash
+    splits = {"all": entries}
+    if manifest_path is not None:
+        by_id = {e.id: e for e in entries}
+        manifest = SplitManifest.from_json(Path(manifest_path).read_text(encoding="utf-8"))
+        splits.update({split: [by_id[i] for i in ids] for split, ids in manifest.ids.items()})
+    return splits, label_hash
 
 
 def _model_config_from_args(args, n_classes: int) -> ModelConfig:
@@ -174,8 +179,7 @@ def _model_config_from_args(args, n_classes: int) -> ModelConfig:
 # --- train -----------------------------------------------------------------
 
 def cmd_train(args) -> int:
-    train_entries, all_entries, label_hash = _load_split(args.data, args.manifest, "train")
-    val_entries, _, _ = _load_split(args.data, args.manifest, "val")
+    splits, label_hash = _load_splits(args.data, args.manifest)
     label_index = LabelIndex.from_text(
         (Path(args.data) / "labels.tsv").read_text(encoding="utf-8"))
 
@@ -188,7 +192,7 @@ def cmd_train(args) -> int:
         seed=args.seed,
         class_weighting=not args.no_class_weights,
     )
-    result = train(model_config, train_entries, val_entries, train_config,
+    result = train(model_config, splits["train"], splits["val"], train_config,
                    checkpoint_path=args.checkpoint, label_index_hash=label_hash,
                    verbose=True)
     log_path = args.log if args.log else f"{args.checkpoint}.log.csv"
@@ -201,10 +205,10 @@ def cmd_train(args) -> int:
 # --- evaluate --------------------------------------------------------------
 
 def cmd_evaluate(args) -> int:
-    entries, all_entries, label_hash = _load_split(args.data, args.manifest, args.split)
+    splits, label_hash = _load_splits(args.data, args.manifest)
     config, params, _ = load_checkpoint(args.checkpoint, expected_label_hash=label_hash)
-    class_sizes = np.bincount([e.label for e in all_entries], minlength=config.n_classes)
-    report, _, _ = evaluate(config, params, entries, batch_size=args.batch_size,
+    class_sizes = np.bincount([e.label for e in splits["all"]], minlength=config.n_classes)
+    report, _, _ = evaluate(config, params, splits[args.split], batch_size=args.batch_size,
                             class_sizes=class_sizes)
     print(report.to_flat_text(), end="")
     if args.out:
@@ -217,11 +221,9 @@ def cmd_evaluate(args) -> int:
 # --- embed -----------------------------------------------------------------
 
 def cmd_embed(args) -> int:
-    if args.split == "all":
-        entries = load_entries(Path(args.data) / "processed.tsv")
-        label_hash = hash_text((Path(args.data) / "labels.tsv").read_text(encoding="utf-8"))
-    else:
-        entries, _, label_hash = _load_split(args.data, args.manifest, args.split)
+    splits, label_hash = _load_splits(args.data,
+                                      None if args.split == "all" else args.manifest)
+    entries = splits[args.split]
     config, params, _ = load_checkpoint(args.checkpoint, expected_label_hash=label_hash)
     pooled = np.concatenate([p for _, _, p in predict(entries, config, params, args.batch_size)])
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -94,6 +94,20 @@ class TestPrep:
         assert reasons == {"missing": "NOT_FOUND", "bad": "MALFORMED",
                            "gap": "INCOMPLETE", "mod": "NONSTANDARD"}
 
+    def test_bad_rows_are_rejected_not_fatal(self, corpus_dir, tmp_path):
+        # a two-character chain id and a pdb_path naming a directory
+        index = tmp_path / "index.tsv"
+        index.write_text((corpus_dir / "index.tsv").read_text()
+                         + "twochA\t1aa0.pdb\tAB\t-\t-\tsfa.1.1\n"
+                         + f"dirA\t{tmp_path}\tA\t-\t-\tsfa.1.1\n")
+        assert run(["prep", "--index", index, "--pdb-dir", corpus_dir / "pdbs",
+                    "--out", tmp_path / "out"]) == 0
+        log = (tmp_path / "out" / "rejects.log").read_text()
+        reasons = {ln.split("\t")[0]: ln.split("\t")[1] for ln in log.splitlines()}
+        assert reasons["twochA"] == "MALFORMED"
+        assert reasons["dirA"] == "NOT_FOUND"
+        assert len(load_entries(tmp_path / "out" / "processed.tsv")) == 10
+
 
 class TestSplit:
     def test_manifest_partitions_entries(self, pipeline_dir):
@@ -127,6 +141,21 @@ class TestTrainEvaluateEmbed:
         assert run(args + ["--checkpoint", tmp_path / "again.ckpt"]) == 0
         assert ((tmp_path / "again.ckpt").read_bytes()
                 == (pipeline_dir / "model.ckpt").read_bytes())
+
+    def test_train_parses_processed_once(self, pipeline_dir, tmp_path, monkeypatch):
+        calls = []
+        load = cli.load_entries
+
+        def counting(path):
+            calls.append(path)
+            return load(path)
+
+        monkeypatch.setattr(cli, "load_entries", counting)
+        assert run(["train", "--data", pipeline_dir,
+                    "--manifest", pipeline_dir / "manifest.json",
+                    "--checkpoint", tmp_path / "once.ckpt", "--embed-dim", 128,
+                    "--layers", 1, "--epochs", 1, "--batch-size", 4]) == 0
+        assert len(calls) == 1
 
     def test_evaluate_writes_reports(self, pipeline_dir, tmp_path, capsys):
         out = tmp_path / "report.json"
