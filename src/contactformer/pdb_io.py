@@ -56,21 +56,6 @@ class Residue:
     res_name: str        # 3-letter code as parsed, e.g. "ALA" or "MSE"
     ca_position: tuple[float, float, float]
 
-    @property
-    def one_letter(self) -> str:
-        """1-letter code; raises NonstandardResidue outside the standard 20."""
-        try:
-            return AA3_TO_1[self.res_name]
-        except KeyError:
-            raise NonstandardResidue(
-                f"residue {self.res_name!r} at {self.seq_id} is not one of "
-                f"the 20 standard amino acids"
-            ) from None
-
-    @property
-    def is_standard(self) -> bool:
-        return self.res_name in AA3_TO_1
-
 
 @dataclass(frozen=True)
 class ChainStructure:
@@ -184,18 +169,23 @@ def parse_structure(
     return ChainStructure(pdb_id, chain_id, tuple(residues))
 
 
+def _nonstandard(chain: ChainStructure) -> tuple[str, ...]:
+    """Sorted distinct residue names outside the 20 standard amino acids."""
+    return tuple(sorted({r.res_name for r in chain.residues if r.res_name not in AA3_TO_1}))
+
+
 def residues_to_sequence(chain: ChainStructure) -> str:
     """1-letter sequence in residue order.
 
     Raises NonstandardResidue if any residue is outside the standard 20;
     such entries are rejected rather than silently remapped.
     """
-    bad = sorted({r.res_name for r in chain.residues if not r.is_standard})
+    bad = _nonstandard(chain)
     if bad:
         raise NonstandardResidue(
             f"chain {chain.chain_id!r} contains nonstandard residues: {', '.join(bad)}"
         )
-    return "".join(r.one_letter for r in chain.residues)
+    return "".join(AA3_TO_1[r.res_name] for r in chain.residues)
 
 
 def check_completeness(
@@ -224,10 +214,7 @@ def check_completeness(
         0 if all(np.isfinite(v) for v in r.ca_position) else 1
         for r in chain.residues
     )
-    nonstandard = tuple(
-        sorted({r.res_name for r in chain.residues if not r.is_standard})
-    )
-    return CompletenessReport(len(chain.residues), n_missing, n_gaps, nonstandard)
+    return CompletenessReport(len(chain.residues), n_missing, n_gaps, _nonstandard(chain))
 
 
 def chain_to_pdb_text(chain: ChainStructure) -> str:
