@@ -191,6 +191,27 @@ class TestBatchEncode:
             assert (~rows).any(axis=1).all()
             assert not rows.diagonal().any()
 
+    @given(lengths=st.lists(st.integers(min_value=1, max_value=20), min_size=1, max_size=5),
+           max_len=st.integers(min_value=1, max_value=24),
+           mode=st.sampled_from(["contact", "full"]),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_padded_rows_and_columns_are_disallowed(self, lengths, max_len, mode, seed):
+        # attention reads only attention_masks, so padding must be masked there
+        rng = np.random.default_rng(seed)
+        entries = []
+        for k, n in enumerate(lengths):
+            seq = "".join(rng.choice(list(ALPHABET), size=n))
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+            entries.append(entry(f"e{k}", seq, pairs))
+        batch = batch_encode(entries, max_len=max_len, attention_mode=mode)
+        for b, length in enumerate(lengths):
+            n = min(length, max_len)
+            assert batch.attention_masks[b, :, n:].all()
+            assert batch.attention_masks[b, n:, :].all()
+        assert (batch.attention_masks | batch.key_padding_mask[:, None, :]
+                == batch.attention_masks).all()
+
     def test_length_mismatch(self):
         bad = Entry.__new__(Entry)  # bypass the dataclass check to hit the op's
         object.__setattr__(bad, "id", "bad")
