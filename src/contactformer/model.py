@@ -195,9 +195,9 @@ def encoder_forward(
 ) -> tuple[Tensor, Tensor]:
     """Full forward pass over an EncodedBatch.
 
-    Returns (logits (B, C), pooled (B, d)). Pooling is
-    the mean of the last layer's states over non-pad positions. Dropout
-    is active only in train_mode (eval passes are deterministic).
+    Returns (logits (B, C), pooled (B, d)). Pooling is the mean of the
+    last layer's states over non-pad positions. Dropout is active only in
+    train_mode (eval passes are deterministic).
     """
     tokens = batch.tokens
     b, l = tokens.shape
