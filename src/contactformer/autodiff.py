@@ -6,6 +6,12 @@ masked mean, and weighted cross-entropy. Each op records a backward
 closure on the output tensor; ``Tensor.backward()`` replays them in
 reverse topological order and accumulates into ``.grad`` buffers.
 
+Only Tensors are differentiated. The second operand of :func:`add` and
+:func:`mul` may be a plain number or array: it is a constant, cast to
+the first operand's dtype, never recorded as a parent, and given no
+gradient. A fully disallowed row of :func:`masked_softmax` comes out as
+a row of zeros (padded queries rely on this).
+
 Training runs in float32; gradient checking should run in float64 (see
 :func:`grad_check`), where every op is expected to agree with central
 differences to better than 1e-4 relative error.
@@ -20,10 +26,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 MASK_FILL = -1e9  # additive large-negative used instead of -inf
-
-
-class AllMasked(ValueError):
-    """Every entry of a softmax row is disallowed."""
 
 
 class ShapeMismatch(ValueError):
@@ -50,8 +52,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        self.data = np.asarray(data, dtype=dtype if dtype is not None else None)
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = np.asarray(data)
         if self.data.dtype not in (np.float32, np.float64):
             self.data = self.data.astype(np.float32)
         self.grad: np.ndarray | None = None
@@ -151,23 +153,11 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x))
-
-
-def _as_pair(a, b) -> tuple[Tensor, Tensor]:
-    """Wrap plain operands, casting them to the tensor operand's dtype."""
-    if isinstance(a, Tensor) and isinstance(b, Tensor):
-        return a, b
-    if isinstance(a, Tensor):
-        return a, Tensor(np.asarray(b, dtype=a.data.dtype))
-    if isinstance(b, Tensor):
-        return Tensor(np.asarray(a, dtype=b.data.dtype)), b
-    return _as_tensor(a), _as_tensor(b)
-
-
-def add(a, b) -> Tensor:
-    a, b = _as_pair(a, b)
+def add(a: Tensor, b) -> Tensor:
+    """a + b with broadcasting; a non-Tensor b is a constant."""
+    if not isinstance(b, Tensor):
+        c = np.asarray(b, dtype=a.data.dtype)
+        return _make(a.data + c, (a,), lambda g: ((a, _unbroadcast(g, a.shape)),))
 
     def backward(g):
         return ((a, _unbroadcast(g, a.shape)), (b, _unbroadcast(g, b.shape)))
@@ -175,8 +165,11 @@ def add(a, b) -> Tensor:
     return _make(a.data + b.data, (a, b), backward)
 
 
-def mul(a, b) -> Tensor:
-    a, b = _as_pair(a, b)
+def mul(a: Tensor, b) -> Tensor:
+    """a * b with broadcasting; a non-Tensor b is a constant."""
+    if not isinstance(b, Tensor):
+        c = np.asarray(b, dtype=a.data.dtype)
+        return _make(a.data * c, (a,), lambda g: ((a, _unbroadcast(g * c, a.shape)),))
 
     def backward(g):
         return (
@@ -284,20 +277,15 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, train: bool
     return _make(x.data * mask, (x,), backward)
 
 
-def masked_softmax(logits: Tensor, disallow: np.ndarray, allow_empty: bool = False) -> Tensor:
+def masked_softmax(logits: Tensor, disallow: np.ndarray) -> Tensor:
     """Softmax over the last axis with hard-masked entries.
 
     Disallowed positions receive probability exactly 0; allowed positions
     follow the softmax of their logits (masking is additive MASK_FILL
     before normalization, then exact zeros are forced). Fully masked rows
-    raise AllMasked unless allow_empty, in which case they come out as
-    all-zero rows (padding queries rely on this).
+    come out as all-zero rows (padding queries rely on this).
     """
     disallow = np.broadcast_to(np.asarray(disallow, dtype=bool), logits.shape)
-    empty = disallow.all(axis=-1)
-    if empty.any() and not allow_empty:
-        raise AllMasked("softmax row with every entry disallowed")
-
     shifted = np.where(disallow, MASK_FILL, logits.data)
     shifted = shifted - shifted.max(axis=-1, keepdims=True)
     e = np.exp(shifted)

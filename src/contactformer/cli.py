@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import contacts, data, pdb_io
+from . import contacts, pdb_io
 from .contacts import build_contact_map, serialize_contacts
 from .data import (
     Entry,
@@ -31,18 +31,7 @@ from .train import Divergence, TrainConfig, evaluate, history_to_csv, predict, t
 
 REJECT_REASONS = ("NOT_FOUND", "MALFORMED", "INCOMPLETE", "NONSTANDARD")
 
-_DATA_ERRORS = (
-    pdb_io.PdbParseError,
-    contacts.FormatError,
-    contacts.IndexOutOfRange,
-    contacts.NonFiniteCoordinate,
-    data.UnknownResidue,
-    data.EmptyDataset,
-    data.LengthMismatch,
-    OSError,
-    ValueError,
-    KeyError,
-)
+_DATA_ERRORS = (OSError, ValueError, KeyError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,10 +65,8 @@ def _prep_one(task):
     except ValueError as exc:  # PdbParseError, or a chain id that is not one character
         return row, None, None, "MALFORMED", str(exc)
     report = pdb_io.check_completeness(chain, row.residue_range)
-    if report.n_gaps > 0 or report.n_missing_ca > 0:
-        return row, None, None, "INCOMPLETE", (
-            f"gaps={report.n_gaps} missing_ca={report.n_missing_ca}"
-        )
+    if report.n_gaps > 0:
+        return row, None, None, "INCOMPLETE", f"gaps={report.n_gaps}"
     if report.nonstandard_residues:
         return row, None, None, "NONSTANDARD", ",".join(report.nonstandard_residues)
     sequence = pdb_io.residues_to_sequence(chain)
@@ -90,7 +77,7 @@ def _prep_one(task):
 def cmd_prep(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = read_index(args.index)
+    rows, malformed = read_index(args.index)
 
     tasks = [(row, args.pdb_dir, args.threshold) for row in rows]
     if args.workers > 1:
@@ -100,7 +87,7 @@ def cmd_prep(args) -> int:
         results = [_prep_one(t) for t in tasks]
 
     accepted: list[tuple[IndexRow, str, str]] = []
-    rejects: list[tuple[str, str, str]] = []
+    rejects = [(entry_id, "MALFORMED", detail) for entry_id, detail in malformed]
     for row, sequence, contact_text, reason, detail in results:
         if reason is None:
             accepted.append((row, sequence, contact_text))
@@ -147,19 +134,20 @@ def cmd_split(args) -> int:
 
 # --- shared loading --------------------------------------------------------
 
-def _load_splits(data_dir, manifest_path=None) -> tuple[dict[str, list[Entry]], str]:
-    """Returns ({split: entries}, label index hash) from one parse of processed.tsv.
+def _load_splits(data_dir, manifest_path=None) -> tuple[dict[str, list[Entry]], str, str]:
+    """Returns ({split: entries}, label index hash, labels.tsv text).
 
-    Split "all" holds every entry; the manifest, if given, adds its splits.
+    processed.tsv and labels.tsv are each read once. Split "all" holds
+    every entry; the manifest, if given, adds its splits.
     """
     entries = load_entries(Path(data_dir) / "processed.tsv")
-    label_hash = hash_text((Path(data_dir) / "labels.tsv").read_text(encoding="utf-8"))
+    label_text = (Path(data_dir) / "labels.tsv").read_text(encoding="utf-8")
     splits = {"all": entries}
     if manifest_path is not None:
         by_id = {e.id: e for e in entries}
         manifest = SplitManifest.from_json(Path(manifest_path).read_text(encoding="utf-8"))
         splits.update({split: [by_id[i] for i in ids] for split, ids in manifest.ids.items()})
-    return splits, label_hash
+    return splits, hash_text(label_text), label_text
 
 
 def _model_config_from_args(args, n_classes: int) -> ModelConfig:
@@ -179,9 +167,8 @@ def _model_config_from_args(args, n_classes: int) -> ModelConfig:
 # --- train -----------------------------------------------------------------
 
 def cmd_train(args) -> int:
-    splits, label_hash = _load_splits(args.data, args.manifest)
-    label_index = LabelIndex.from_text(
-        (Path(args.data) / "labels.tsv").read_text(encoding="utf-8"))
+    splits, label_hash, label_text = _load_splits(args.data, args.manifest)
+    label_index = LabelIndex.from_text(label_text)
 
     model_config = _model_config_from_args(args, n_classes=len(label_index))
     train_config = TrainConfig(
@@ -205,7 +192,7 @@ def cmd_train(args) -> int:
 # --- evaluate --------------------------------------------------------------
 
 def cmd_evaluate(args) -> int:
-    splits, label_hash = _load_splits(args.data, args.manifest)
+    splits, label_hash, _ = _load_splits(args.data, args.manifest)
     config, params, _ = load_checkpoint(args.checkpoint, expected_label_hash=label_hash)
     class_sizes = np.bincount([e.label for e in splits["all"]], minlength=config.n_classes)
     report, _, _ = evaluate(config, params, splits[args.split], batch_size=args.batch_size,
@@ -221,8 +208,8 @@ def cmd_evaluate(args) -> int:
 # --- embed -----------------------------------------------------------------
 
 def cmd_embed(args) -> int:
-    splits, label_hash = _load_splits(args.data,
-                                      None if args.split == "all" else args.manifest)
+    splits, label_hash, _ = _load_splits(args.data,
+                                         None if args.split == "all" else args.manifest)
     entries = splits[args.split]
     config, params, _ = load_checkpoint(args.checkpoint, expected_label_hash=label_hash)
     pooled = np.concatenate([p for _, _, p in predict(entries, config, params, args.batch_size)])

@@ -214,13 +214,8 @@ def batch_encode(
     if attention_mode not in ("contact", "full"):
         raise ValueError(f"unknown attention mode {attention_mode!r}")
 
-    rows = []
-    for e in entries:
-        toks = tokenize(e.sequence)
-        if len(toks) != e.contact_map.n:
-            raise LengthMismatch(f"entry {e.id!r}")
-        toks = toks[:max_len]
-        rows.append((toks, e.contact_map.truncated(max_len), e.label))
+    rows = [(tokenize(e.sequence)[:max_len], e.contact_map.truncated(max_len), e.label)
+            for e in entries]
 
     b = len(rows)
     l = max(len(toks) for toks, _, _ in rows)
@@ -260,12 +255,16 @@ class IndexRow:
         return (self.res_start, self.res_end)
 
 
-def read_index(path) -> list[IndexRow]:
+def read_index(path) -> tuple[list[IndexRow], list[tuple[str, str]]]:
     """Parse the TSV index: entry_id, pdb_path, chain_id, start, end, superfamily.
 
-    '-' in the range columns means unbounded (whole chain).
+    '-' in the range columns means unbounded (whole chain). Returns the
+    valid rows and, for every malformed row, (entry_id, reason): a row
+    without 6 fields, a non-integer range bound, or a repeated entry id
+    (the first occurrence is kept).
     """
     rows: list[IndexRow] = []
+    malformed: list[tuple[str, str]] = []
     seen: set[str] = set()
     with open(path, encoding="utf-8") as fh:
         for lineno, ln in enumerate(fh, start=1):
@@ -273,21 +272,24 @@ def read_index(path) -> list[IndexRow]:
             if not ln.strip() or ln.startswith("#"):
                 continue
             parts = ln.split("\t")
+            where = f"line {lineno}"
             if len(parts) != 6:
-                raise ValueError(f"{path}:{lineno}: expected 6 tab-separated fields")
+                malformed.append((parts[0], f"{where}: expected 6 tab-separated fields"))
+                continue
             entry_id, pdb_path, chain_id, start, end, sf = parts
             if entry_id in seen:
-                raise ValueError(f"{path}:{lineno}: duplicate entry id {entry_id!r}")
+                malformed.append((entry_id, f"{where}: duplicate entry id"))
+                continue
+            try:
+                bounds = [None if v == "-" else int(v) for v in (start, end)]
+            except ValueError as exc:
+                malformed.append((entry_id, f"{where}: {exc}"))
+                continue
             seen.add(entry_id)
-            rows.append(IndexRow(
-                entry_id, pdb_path, chain_id,
-                None if start == "-" else int(start),
-                None if end == "-" else int(end),
-                sf,
-            ))
-    if not rows:
+            rows.append(IndexRow(entry_id, pdb_path, chain_id, *bounds, sf))
+    if not rows and not malformed:
         raise EmptyDataset(f"index {path} has no entries")
-    return rows
+    return rows, malformed
 
 
 def entry_to_line(entry: Entry) -> str:

@@ -155,7 +155,7 @@ def multi_head_attention(
     v = split_heads(proj("v"))
 
     scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
-    weights = ad.masked_softmax(scores, attn_mask[:, None], allow_empty=True)
+    weights = ad.masked_softmax(scores, attn_mask[:, None])
 
     ctx = ad.reshape(ad.transpose(ad.matmul(weights, v), (0, 2, 1, 3)), (b, l, d))
     return ad.linear(ctx, params[f"{prefix}.out.weight"].tensor,
@@ -213,7 +213,7 @@ def encoder_forward(
     embed = params["embed.weight"].tensor
     x = ad.mul(ad.embedding(embed, tokens), math.sqrt(config.embed_dim))
     if config.use_positional:
-        x = ad.add(x, Tensor(positional_encoding(l, config.embed_dim, dtype=embed.data.dtype)))
+        x = ad.add(x, positional_encoding(l, config.embed_dim, dtype=embed.data.dtype))
     x = ad.dropout(x, config.dropout, rng, train_mode)
 
     x = encoder_layers_forward(x, batch.attention_masks, config, params, train_mode, rng)

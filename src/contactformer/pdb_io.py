@@ -78,17 +78,12 @@ class CompletenessReport:
     """Quality summary used to accept or reject an entry."""
 
     n_residues: int
-    n_missing_ca: int
     n_gaps: int
     nonstandard_residues: tuple[str, ...] = field(default_factory=tuple)
 
     @property
     def passed(self) -> bool:
-        return (
-            self.n_missing_ca == 0
-            and self.n_gaps == 0
-            and not self.nonstandard_residues
-        )
+        return self.n_gaps == 0 and not self.nonstandard_residues
 
 
 def parse_structure(
@@ -192,7 +187,7 @@ def check_completeness(
     chain: ChainStructure,
     residue_range: tuple[int, int] | None = None,
 ) -> CompletenessReport:
-    """Report-only quality check: gaps, missing CAs, nonstandard residues.
+    """Report-only quality check: gaps and nonstandard residues.
 
     A gap is counted whenever the next residue's seq_id exceeds the
     previous one by more than 1 (insertion-coded residues share a seq_id
@@ -209,12 +204,7 @@ def check_completeness(
             n_gaps += 1
         if chain.residues[-1].seq_id < end:
             n_gaps += 1
-
-    n_missing = sum(
-        0 if all(np.isfinite(v) for v in r.ca_position) else 1
-        for r in chain.residues
-    )
-    return CompletenessReport(len(chain.residues), n_missing, n_gaps, _nonstandard(chain))
+    return CompletenessReport(len(chain.residues), n_gaps, _nonstandard(chain))
 
 
 def chain_to_pdb_text(chain: ChainStructure) -> str:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from contactformer import autodiff as ad
-from contactformer.autodiff import AllMasked, ShapeMismatch, Tensor
+from contactformer.autodiff import ShapeMismatch, Tensor
 
 GRAD_TOL = 1e-4  # every differentiable op must beat this in f64
 
@@ -20,7 +20,7 @@ def rand64(rng, *shape):
 def to_scalar(out: Tensor, seed: int = 0) -> Tensor:
     """Contract any output to a scalar via a fixed random linear functional."""
     n = int(np.prod(out.shape)) if out.shape else 1
-    w = Tensor(np.random.default_rng(seed).standard_normal((n, 1)), dtype=np.float64)
+    w = Tensor(np.random.default_rng(seed).standard_normal((n, 1)))
     return ad.matmul(ad.reshape(out, (1, n)), w)
 
 
@@ -65,6 +65,25 @@ class TestOpGradients:
         a, b = rand64(rng, 2, 3, 4), rand64(rng, 1, 4)
         err = ad.grad_check(lambda: to_scalar(ad.mul(a, b)), [a, b])
         assert err < GRAD_TOL
+
+    def test_mul_by_constant(self):
+        rng = np.random.default_rng(2)
+        x = rand64(rng, 2, 3)
+        for c in (0.5, rng.standard_normal((2, 3))):
+            err = ad.grad_check(lambda: to_scalar(ad.mul(x, c)), [x])
+            assert err < GRAD_TOL
+            assert ad.mul(x, c)._parents == (x,)
+
+    def test_add_constant_array(self):
+        rng = np.random.default_rng(1)
+        x, table = rand64(rng, 2, 3, 4), rng.standard_normal((3, 4))
+        err = ad.grad_check(lambda: to_scalar(ad.add(x, table)), [x])
+        assert err < GRAD_TOL
+        assert ad.add(x, table)._parents == (x,)
+
+    def test_constant_takes_tensor_dtype(self):
+        x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        assert ad.mul(x, np.full(3, 0.5)).dtype == ad.add(x, 1.0).dtype == np.float32
 
     def test_matmul_2d(self):
         rng = np.random.default_rng(3)
@@ -170,15 +189,15 @@ class TestMaskedSoftmax:
         assert np.allclose(p.data, [e / (e + 1), 1 / (e + 1)], atol=1e-12)
         assert abs(p.data[0] - 0.7310585786300049) < 1e-12
 
-    def test_all_masked_raises(self):
-        with pytest.raises(AllMasked):
-            ad.masked_softmax(t64([1.0, 2.0]), np.array([True, True]))
-
     def test_allow_empty_gives_zero_rows(self):
+        # a fully disallowed row is a zero row, with a zero gradient
+        x = t64([[1.0, 2.0], [1.0, 2.0]])
         disallow = np.array([[True, True], [False, True]])
-        p = ad.masked_softmax(t64([[1.0, 2.0], [1.0, 2.0]]), disallow, allow_empty=True)
+        p = ad.masked_softmax(x, disallow)
         assert np.array_equal(p.data[0], [0.0, 0.0])
         assert np.allclose(p.data[1], [1.0, 0.0])
+        to_scalar(p).backward()
+        assert np.array_equal(x.grad[0], [0.0, 0.0])
 
     def test_rows_sum_to_one_with_exact_zeros(self):
         rng = np.random.default_rng(0)

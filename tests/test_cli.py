@@ -108,6 +108,23 @@ class TestPrep:
         assert reasons["dirA"] == "NOT_FOUND"
         assert len(load_entries(tmp_path / "out" / "processed.tsv")) == 10
 
+    def test_malformed_index_rows_are_rejected_not_fatal(self, corpus_dir, tmp_path, capsys):
+        index = tmp_path / "index.tsv"
+        index.write_text((corpus_dir / "index.tsv").read_text()
+                         + "badrngA\t1aa0.pdb\tA\tx\t24\tsfa.1.1\n"
+                         + "shortA\t1aa0.pdb\tA\n"
+                         + "1aa0A\t1aa0.pdb\tA\t-\t-\tsfz.9.9\n")
+        assert run(["prep", "--index", index, "--pdb-dir", corpus_dir / "pdbs",
+                    "--out", tmp_path / "out"]) == 0
+        assert "# rejected[MALFORMED] = 3" in capsys.readouterr().out
+        log = (tmp_path / "out" / "rejects.log").read_text().splitlines()
+        malformed = [ln.split("\t")[0] for ln in log if ln.split("\t")[1] == "MALFORMED"]
+        assert malformed == ["badrngA", "shortA", "1aa0A"]
+        entries = load_entries(tmp_path / "out" / "processed.tsv")
+        assert len(entries) == 10
+        # the first occurrence of a duplicated id is the one kept
+        assert "sfz.9.9" not in (tmp_path / "out" / "labels.tsv").read_text()
+
 
 class TestSplit:
     def test_manifest_partitions_entries(self, pipeline_dir):
@@ -156,6 +173,26 @@ class TestTrainEvaluateEmbed:
                     "--checkpoint", tmp_path / "once.ckpt", "--embed-dim", 128,
                     "--layers", 1, "--epochs", 1, "--batch-size", 4]) == 0
         assert len(calls) == 1
+
+    def test_train_reads_labels_once(self, pipeline_dir, tmp_path, monkeypatch):
+        import builtins
+        import io
+
+        reads = []
+        for owner in (builtins, io):  # open() and pathlib's io.open
+            original = owner.open
+
+            def counting(file, *args, _original=original, **kwargs):
+                if str(file).endswith("labels.tsv"):
+                    reads.append(file)
+                return _original(file, *args, **kwargs)
+
+            monkeypatch.setattr(owner, "open", counting)
+        assert run(["train", "--data", pipeline_dir,
+                    "--manifest", pipeline_dir / "manifest.json",
+                    "--checkpoint", tmp_path / "once.ckpt", "--embed-dim", 128,
+                    "--layers", 1, "--epochs", 1, "--batch-size", 4]) == 0
+        assert len(reads) == 1
 
     def test_evaluate_writes_reports(self, pipeline_dir, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -212,15 +212,6 @@ class TestBatchEncode:
         assert (batch.attention_masks | batch.key_padding_mask[:, None, :]
                 == batch.attention_masks).all()
 
-    def test_length_mismatch(self):
-        bad = Entry.__new__(Entry)  # bypass the dataclass check to hit the op's
-        object.__setattr__(bad, "id", "bad")
-        object.__setattr__(bad, "sequence", "ACD")
-        object.__setattr__(bad, "contact_map", ContactMap(2))
-        object.__setattr__(bad, "label", 0)
-        with pytest.raises(LengthMismatch):
-            batch_encode([bad])
-
     def test_empty_batch(self):
         with pytest.raises(EmptyDataset):
             batch_encode([])

@@ -188,11 +188,6 @@ class TestCheckCompleteness:
         assert report.nonstandard_residues == ("MSE", "UNK")
         assert not report.passed
 
-    def test_non_finite_ca_counted(self):
-        residues = (Residue(1, " ", "ALA", (float("nan"), 0.0, 0.0)),)
-        report = check_completeness(ChainStructure("t", "A", residues))
-        assert report.n_missing_ca == 1 and not report.passed
-
 
 @st.composite
 def chain_structures(draw):

@@ -193,6 +193,34 @@ class TestFloat32:
         assert all(p.tensor.grad.dtype == np.float32 for p in params.values())
 
 
+class TestAutodiffGraph:
+    def test_every_recorded_parent_requires_grad(self):
+        # constants (embedding scale, positional table, 1/sqrt(d_h)) stay out
+        from contactformer import autodiff as ad
+        from contactformer.data import batch_encode, compute_class_weights
+        from contactformer.model import encoder_forward, init_params
+
+        entries = overfit_dataset(8, 4, length=6, seed=9)
+        cfg = overfit_config(dropout=0.1)
+        params = init_params(cfg, np.random.default_rng(0), dtype=np.float32)
+        batch = batch_encode(entries)
+        logits, _ = encoder_forward(batch, cfg, params, train_mode=True,
+                                    rng=np.random.default_rng(1))
+        loss = ad.weighted_cross_entropy(logits, batch.labels,
+                                         compute_class_weights(batch.labels, cfg.n_classes))
+        stack, seen, n_parents = [loss], set(), 0
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            for parent in node._parents:
+                assert parent.requires_grad, f"constant parent {parent!r}"
+                n_parents += 1
+                stack.append(parent)
+        assert n_parents > len(params)
+
+
 class TestHistoryCsv:
     def test_format(self):
         history = [EpochRecord(1, 1.5, 1.25, 0.5)]
