@@ -1,16 +1,25 @@
 """Minimal reverse-mode autodiff on dense numpy arrays.
 
 Exactly the operator set the encoder needs: matmul / linear, embedding
-lookup, layer norm, ReLU, inverted dropout, residual add, masked softmax,
-masked mean, and weighted cross-entropy. Each op records a backward
-closure on the output tensor; ``Tensor.backward()`` replays them in
-reverse topological order and accumulates into ``.grad`` buffers.
+lookup, layer norm, ReLU, inverted dropout, residual add, masked
+attention, masked mean, and weighted cross-entropy, plus masked softmax
+on its own. Each op records a backward closure on the output tensor;
+``Tensor.backward()`` replays them in reverse topological order and
+accumulates into ``.grad`` buffers.
+
+:func:`masked_attention` is the encoder's whole scaled, contact-masked
+attention (scores, masked softmax, weighted sum of values) as one node.
+Its forward pass keeps a single (..., L, L) buffer, the attention
+weights, and its backward pass derives the q, k and v gradients from
+them; :func:`masked_softmax` runs the same in-place softmax on a copy
+of its input.
 
 Only Tensors are differentiated. The second operand of :func:`add` and
 :func:`mul` may be a plain number or array: it is a constant, cast to
 the first operand's dtype, never recorded as a parent, and given no
-gradient. A fully disallowed row of :func:`masked_softmax` comes out as
-a row of zeros (padded queries rely on this).
+gradient. A fully disallowed row of :func:`masked_softmax` or
+:func:`masked_attention` comes out as a row of zeros (padded queries
+rely on this).
 
 Training runs in float32; gradient checking should run in float64 (see
 :func:`grad_check`), where every op is expected to agree with central
@@ -277,28 +286,69 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, train: bool
     return _make(x.data * mask, (x,), backward)
 
 
+def _masked_softmax_(s: np.ndarray, disallow: np.ndarray) -> np.ndarray:
+    """Masked softmax over the last axis of s, computed in place; returns s.
+
+    Masking is additive MASK_FILL before normalization, then exact zeros
+    are forced, so a fully disallowed row comes out as a row of zeros.
+    """
+    disallow = np.asarray(disallow, dtype=bool)
+    np.copyto(s, MASK_FILL, where=disallow)
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    np.copyto(s, 0.0, where=disallow)
+    denom = s.sum(axis=-1, keepdims=True)
+    denom[denom == 0.0] = 1.0
+    s /= denom
+    return s
+
+
 def masked_softmax(logits: Tensor, disallow: np.ndarray) -> Tensor:
     """Softmax over the last axis with hard-masked entries.
 
     Disallowed positions receive probability exactly 0; allowed positions
-    follow the softmax of their logits (masking is additive MASK_FILL
-    before normalization, then exact zeros are forced). Fully masked rows
-    come out as all-zero rows (padding queries rely on this).
+    follow the softmax of their logits. Fully masked rows come out as
+    all-zero rows (padding queries rely on this).
     """
-    disallow = np.broadcast_to(np.asarray(disallow, dtype=bool), logits.shape)
-    shifted = np.where(disallow, MASK_FILL, logits.data)
-    shifted = shifted - shifted.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    e[disallow] = 0.0
-    denom = e.sum(axis=-1, keepdims=True)
-    safe = np.where(denom == 0.0, 1.0, denom)
-    p = e / safe
+    p = _masked_softmax_(logits.data.copy(), disallow)
 
     def backward(g):
         inner = (g * p).sum(axis=-1, keepdims=True)
         return ((logits, p * (g - inner)),)
 
     return _make(p, (logits,), backward)
+
+
+def masked_attention(q: Tensor, k: Tensor, v: Tensor, disallow: np.ndarray,
+                     scale: float) -> Tensor:
+    """softmax(scale * q @ k^T, masked by disallow) @ v as one graph node.
+
+    q, k are (..., Lq, dh) and (..., Lk, dh), v is (..., Lk, dv), and
+    disallow (true = query may not attend key) broadcasts to (..., Lq, Lk).
+    The forward pass builds the scores in one buffer and turns it into the
+    attention weights in place; only the weights are kept for backward.
+    A fully disallowed query row gets zero weights, a zero output and a
+    zero gradient.
+    """
+    if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
+        raise ShapeMismatch(f"masked_attention: q {q.shape}, k {k.shape}, v {v.shape}")
+    c = np.asarray(scale, dtype=q.data.dtype)
+    p = q.data @ np.swapaxes(k.data, -1, -2)
+    p *= c
+    _masked_softmax_(p, disallow)
+
+    def backward(g):
+        gs = g @ np.swapaxes(v.data, -1, -2)
+        gs -= (gs * p).sum(axis=-1, keepdims=True)
+        gs *= p
+        gs *= c
+        return (
+            (q, gs @ k.data),
+            (k, np.swapaxes(np.swapaxes(q.data, -1, -2) @ gs, -1, -2)),
+            (v, np.swapaxes(p, -1, -2) @ g),
+        )
+
+    return _make(p @ v.data, (q, k, v), backward)
 
 
 def weighted_cross_entropy(logits: Tensor, labels: np.ndarray, class_weights: np.ndarray) -> Tensor:

@@ -10,9 +10,11 @@ decides which keys each query sees; padded keys are disallowed in it.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass
 
@@ -154,10 +156,8 @@ def multi_head_attention(
     k = split_heads(proj("k"))
     v = split_heads(proj("v"))
 
-    scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
-    weights = ad.masked_softmax(scores, attn_mask[:, None])
-
-    ctx = ad.reshape(ad.transpose(ad.matmul(weights, v), (0, 2, 1, 3)), (b, l, d))
+    heads = ad.masked_attention(q, k, v, attn_mask[:, None], 1.0 / math.sqrt(dh))
+    ctx = ad.reshape(ad.transpose(heads, (0, 2, 1, 3)), (b, l, d))
     return ad.linear(ctx, params[f"{prefix}.out.weight"].tensor,
                      params[f"{prefix}.out.bias"].tensor)
 
@@ -231,25 +231,33 @@ def save_checkpoint(
     params: dict[str, Parameter],
     label_index_hash: str = "",
 ) -> None:
-    """Binary checkpoint: magic, version, JSON header, raw tensor bytes."""
-    manifest = []
-    blobs = []
-    for name, p in params.items():
-        arr = np.ascontiguousarray(p.tensor.data)
-        code = {np.dtype(np.float32): "<f4", np.dtype(np.float64): "<f8"}[arr.dtype]
-        manifest.append({"name": name, "shape": list(arr.shape), "dtype": code})
-        blobs.append(arr.astype(code, copy=False).tobytes())
+    """Binary checkpoint: magic, version, JSON header, raw tensor bytes.
+
+    The file is written under a temporary name in the same directory and
+    then renamed over `path`, so a write that fails part-way leaves any
+    previous checkpoint at `path` untouched.
+    """
+    codes = {np.dtype(np.float32): "<f4", np.dtype(np.float64): "<f8"}
+    manifest = [{"name": name, "shape": list(p.tensor.shape), "dtype": codes[p.tensor.dtype]}
+                for name, p in params.items()]
     header = json.dumps(
         {"config": asdict(config), "label_index_hash": label_index_hash,
          "tensors": manifest},
         sort_keys=True,
     ).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<IQ", CHECKPOINT_VERSION, len(header)))
-        fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<IQ", CHECKPOINT_VERSION, len(header)))
+            fh.write(header)
+            for entry, p in zip(manifest, params.values()):
+                fh.write(p.tensor.data.astype(entry["dtype"], copy=False).tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(
@@ -259,17 +267,26 @@ def load_checkpoint(
 ) -> tuple[ModelConfig, dict[str, Parameter], str]:
     """Load and validate a checkpoint; round-trips bit-exactly.
 
-    Version 1 files also load: their per-tensor "trainable" field, always
-    true, is ignored.
+    Raises CheckpointError when the file is not a checkpoint of a known
+    version, when its manifest's element count differs from the one its
+    config implies, or when the tensor data is truncated or followed by
+    trailing bytes. Version 1 files also load: their per-tensor
+    "trainable" field, always true, is ignored.
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointError(f"bad magic {magic!r}")
-        version, header_len = struct.unpack("<IQ", fh.read(12))
+        prefix = fh.read(12)
+        if len(prefix) != 12:
+            raise CheckpointError("truncated checkpoint header")
+        version, header_len = struct.unpack("<IQ", prefix)
         if version not in (1, CHECKPOINT_VERSION):
             raise CheckpointError(f"unsupported checkpoint version {version}")
-        header = json.loads(fh.read(header_len).decode("utf-8"))
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+        except ValueError as exc:
+            raise CheckpointError(f"unreadable checkpoint header: {exc}") from exc
         config = ModelConfig(**header["config"])
         label_hash = header["label_index_hash"]
         if expected_config is not None and config != expected_config:
@@ -278,13 +295,23 @@ def load_checkpoint(
             )
         if expected_label_hash is not None and label_hash != expected_label_hash:
             raise ConfigMismatch("checkpoint label-index hash mismatch")
+        shapes = [tuple(entry["shape"]) for entry in header["tensors"]]
+        total = sum(math.prod(shape) for shape in shapes)
+        if total != count_parameters(config):
+            raise CheckpointError(
+                f"manifest holds {total} elements, config implies {count_parameters(config)}"
+            )
         params: dict[str, Parameter] = {}
-        for entry in header["tensors"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * np.dtype(entry["dtype"]).itemsize)
-            arr = np.frombuffer(raw, dtype=entry["dtype"]).reshape(shape).copy()
+        for entry, shape in zip(header["tensors"], shapes):
+            dtype = np.dtype(entry["dtype"])
+            nbytes = math.prod(shape) * dtype.itemsize
+            raw = fh.read(nbytes)
+            if len(raw) != nbytes:
+                raise CheckpointError(f"truncated tensor data for {entry['name']}")
+            arr = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
             params[entry["name"]] = Parameter(entry["name"], Tensor(arr, requires_grad=True))
+        if fh.read(1):
+            raise CheckpointError("trailing bytes after the tensor data")
     return config, params, label_hash
 
 

@@ -215,6 +215,57 @@ class TestMaskedSoftmax:
         assert x.grad[0, 1] == 0.0
 
 
+class TestMaskedAttention:
+    @staticmethod
+    def composite(q, k, v, disallow, scale):
+        # the matmul -> scale -> masked_softmax -> matmul chain it replaces
+        scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), scale)
+        return ad.matmul(ad.masked_softmax(scores, disallow), v)
+
+    def test_gradient_with_padded_query_row(self):
+        rng = np.random.default_rng(15)
+        q, k, v = rand64(rng, 2, 2, 5, 3), rand64(rng, 2, 2, 5, 3), rand64(rng, 2, 2, 5, 4)
+        disallow = rng.random((2, 1, 5, 5)) < 0.4
+        disallow[:, :, np.arange(5), np.arange(5)] = False  # every query keeps itself
+        disallow[1, 0, 3, :] = True  # a padded query row
+        err = ad.grad_check(lambda: to_scalar(ad.masked_attention(q, k, v, disallow, 0.5)),
+                            [q, k, v])
+        assert err < GRAD_TOL
+
+        out = ad.masked_attention(q, k, v, disallow, 0.5)
+        assert (out.data[1, :, 3] == 0.0).all()
+        for t in (q, k, v):
+            t.zero_grad()
+        to_scalar(out).backward()
+        assert (q.grad[1, :, 3] == 0.0).all()
+
+    def test_float32_matches_composite_bit_for_bit(self):
+        rng = np.random.default_rng(16)
+        b, h, l, dh = 3, 4, 9, 5
+
+        def heads():
+            # (B, L, H, dh) viewed as (B, H, L, dh), as the encoder splits heads
+            data = rng.standard_normal((b, l, h, dh)).astype(np.float32)
+            return data.transpose(0, 2, 1, 3)
+
+        q, k, v = heads(), heads(), heads()
+        disallow = rng.random((b, 1, l, l)) < 0.5
+        disallow[:, :, np.arange(l), np.arange(l)] = False
+        disallow[0, :, -2:, :] = disallow[0, :, :, -2:] = True  # two padded positions
+        g = rng.standard_normal((b, h, l, dh)).astype(np.float32)
+        scale = 1.0 / math.sqrt(dh)
+
+        results = []
+        for op in (ad.masked_attention, self.composite):
+            leaves = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+            out = op(*leaves, disallow, scale)
+            out.backward(g)
+            results.append([out.data] + [t.grad for t in leaves])
+        for fused, reference in zip(*results):
+            assert fused.dtype == np.float32
+            assert np.array_equal(fused, reference)
+
+
 class TestWeightedCrossEntropy:
     def test_uniform_logits(self):
         loss = ad.weighted_cross_entropy(t64([[0.0, 0.0]]), np.array([0]),
@@ -290,6 +341,11 @@ class TestShapeErrors:
     def test_linear_mismatch(self):
         with pytest.raises(ShapeMismatch):
             ad.linear(t64(np.zeros((2, 3))), t64(np.zeros((4, 5))))
+
+    def test_masked_attention_mismatch(self):
+        with pytest.raises(ShapeMismatch):
+            ad.masked_attention(t64(np.zeros((1, 2, 3))), t64(np.zeros((1, 2, 4))),
+                                t64(np.zeros((1, 2, 3))), np.zeros((2, 2), dtype=bool), 1.0)
 
     def test_masked_mean_mismatch(self):
         with pytest.raises(ShapeMismatch):

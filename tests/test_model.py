@@ -149,16 +149,17 @@ class TestMultiHeadAttention:
         params = init_params(cfg, rng)
         x = ad.embedding(params["embed.weight"].tensor, batch.tokens)
 
-        # the attention weights are the output of the layer's masked softmax
+        # with v the identity (d_h = L), the fused op's output is its weights
         captured = []
-        original = ad.masked_softmax
+        original = ad.masked_attention
 
-        def capture(*args, **kwargs):
-            out = original(*args, **kwargs)
-            captured.append(out.data)
-            return out
+        def capture(q, k, v, disallow, scale):
+            eye = Tensor(np.broadcast_to(np.eye(v.shape[-2], dtype=v.dtype),
+                                         v.shape[:-1] + (v.shape[-2],)))
+            captured.append(original(q, k, eye, disallow, scale).data)
+            return original(q, k, v, disallow, scale)
 
-        monkeypatch.setattr(ad, "masked_softmax", capture)
+        monkeypatch.setattr(ad, "masked_attention", capture)
         multi_head_attention(x, batch.attention_masks, params, cfg.n_heads,
                              prefix="layers.0.attn")
         (weights,) = captured
@@ -362,6 +363,75 @@ class TestCheckpoint:
         path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    def test_truncated_file_rejected(self, tmp_path):
+        rng = np.random.default_rng(17)
+        cfg = tiny_config()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, cfg, init_params(cfg, rng))
+        path.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_trailing_byte_rejected(self, tmp_path):
+        rng = np.random.default_rng(18)
+        cfg = tiny_config()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, cfg, init_params(cfg, rng))
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(CheckpointError, match="trailing"):
+            load_checkpoint(path)
+
+    def test_element_count_must_match_config(self, tmp_path):
+        # a manifest (and data) one tensor short is consistent with itself
+        rng = np.random.default_rng(19)
+        cfg = tiny_config()
+        params = init_params(cfg, rng)
+        params.pop("classifier.bias")
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, cfg, params)
+        with pytest.raises(CheckpointError, match="elements"):
+            load_checkpoint(path)
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        from contactformer import model as model_mod
+        rng = np.random.default_rng(20)
+        cfg = tiny_config()
+        params = init_params(cfg, rng)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, cfg, params, label_index_hash="old")
+        before = path.read_bytes()
+
+        class FailingFile:
+            """Passes three writes (magic, sizes, header) through, then raises."""
+
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes > 3:
+                    raise OSError("disk full")
+                return self.fh.write(data)
+
+        monkeypatch.setattr(model_mod, "open",
+                            lambda *a, **k: FailingFile(open(*a, **k)), raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, cfg, init_params(cfg, rng), label_index_hash="new")
+        monkeypatch.undo()
+
+        assert path.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["model.ckpt"]
+        _, loaded, label_hash = load_checkpoint(path)
+        assert label_hash == "old"
+        for name in params:
+            assert np.array_equal(loaded[name].tensor.data, params[name].tensor.data)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
