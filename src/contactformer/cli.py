@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -18,7 +19,6 @@ from . import contacts, pdb_io
 from .contacts import build_contact_map, serialize_contacts
 from .data import (
     Entry,
-    IndexRow,
     LabelIndex,
     SplitManifest,
     load_entries,
@@ -86,17 +86,10 @@ def cmd_prep(args) -> int:
     else:
         results = [_prep_one(t) for t in tasks]
 
-    accepted: list[tuple[IndexRow, str, str]] = []
+    accepted = [(row, seq, text) for row, seq, text, reason, _ in results if reason is None]
     rejects = [(entry_id, "MALFORMED", detail) for entry_id, detail in malformed]
-    for row, sequence, contact_text, reason, detail in results:
-        if reason is None:
-            accepted.append((row, sequence, contact_text))
-        else:
-            rejects.append((row.entry_id, reason, detail))
-
-    reason_counts = {r: 0 for r in REJECT_REASONS}
-    for _, reason, _ in rejects:
-        reason_counts[reason] += 1
+    rejects += [(row.entry_id, reason, detail) for row, _, _, reason, detail in results if reason]
+    reason_counts = Counter(reason for _, reason, _ in rejects)
 
     with open(out_dir / "rejects.log", "w", encoding="utf-8") as fh:
         for entry_id, reason, detail in rejects:
@@ -112,11 +105,9 @@ def cmd_prep(args) -> int:
     label_index = LabelIndex(row.superfamily_id for row, _, _ in accepted)
     (out_dir / "labels.tsv").write_text(label_index.to_text(), encoding="utf-8")
 
-    entries = []
-    for row, sequence, contact_text in accepted:
-        cmap = contacts.deserialize_contacts(contact_text)
-        entries.append(Entry(row.entry_id, sequence, cmap,
-                             label_index.index_of(row.superfamily_id)))
+    entries = [Entry(row.entry_id, sequence, contacts.deserialize_contacts(text),
+                     label_index.index_of(row.superfamily_id))
+               for row, sequence, text in accepted]
     save_entries(out_dir / "processed.tsv", entries)
     return 0
 

@@ -9,7 +9,8 @@ of the coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,38 +29,59 @@ class IndexOutOfRange(ValueError):
     """A serialized contact pair refers to an index >= n."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContactMap:
     """Sparse symmetric boolean contact matrix.
 
-    Only off-diagonal pairs (i, j) with i < j are stored; the diagonal is
-    implicitly 1 (self-distance is zero) and symmetry is implicit.
+    Only off-diagonal pairs (i, j) with i < j are stored, as a read-only int32
+    (E, 2) array `ij`, ascending and without repeats; the unit diagonal and the
+    symmetry are implicit. Takes any sequence of (i, j) integer pairs, in any order.
     """
 
     n: int
-    pairs: tuple[tuple[int, int], ...] = field(default_factory=tuple)
+    ij: np.ndarray = ()
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"contact map needs n >= 1, got {self.n}")
-        for i, j in self.pairs:
-            if not (0 <= i < j < self.n):
-                raise ValueError(f"bad contact pair ({i}, {j}) for n={self.n}")
+        if not 1 <= self.n <= 2**31:  # every index i < n fits int32
+            raise ValueError(f"contact map needs 1 <= n <= 2**31, got {self.n}")
+        ij = np.asarray(self.ij) if len(self.ij) else np.empty((0, 2), dtype=np.int32)
+        if ij.ndim != 2 or ij.shape[1] != 2 or ij.dtype.kind not in "iu":
+            raise ValueError(f"contact pairs must be integer (i, j) pairs, got {ij.shape}")
+        bad = (ij[:, 0] < 0) | (ij[:, 0] >= ij[:, 1]) | (ij[:, 1] >= self.n)
+        if bad.any():
+            i, j = ij[np.argmax(bad)]
+            raise ValueError(f"bad contact pair ({i}, {j}) for n={self.n}")
+        key = ij[:, 0].astype(np.int64) * self.n + ij[:, 1]
+        if not (key[1:] > key[:-1]).all():
+            ij = np.stack(np.divmod(np.unique(key), self.n), axis=1)
+        ij = ij.astype(np.int32)  # a copy, so freezing it leaves the caller's array alone
+        ij.setflags(write=False)
+        object.__setattr__(self, "ij", ij)
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The pairs as a tuple of (i, j) int tuples (builds one object per pair)."""
+        return tuple(map(tuple, self.ij.tolist()))
+
+    def __eq__(self, other):
+        return (isinstance(other, ContactMap) and self.n == other.n
+                and np.array_equal(self.ij, other.ij))
+
+    def __hash__(self):
+        return hash((self.n, self.ij.tobytes()))
 
     def dense(self) -> np.ndarray:
         """Full boolean matrix including diagonal and symmetric entries."""
         mat = np.eye(self.n, dtype=bool)
-        if self.pairs:
-            idx = np.asarray(self.pairs)
-            mat[idx[:, 0], idx[:, 1]] = True
-            mat[idx[:, 1], idx[:, 0]] = True
+        i, j = self.ij.T
+        mat[i, j] = mat[j, i] = True
         return mat
 
     def truncated(self, n: int) -> "ContactMap":
         """Leading n x n square of the map (for sequence truncation)."""
         if n >= self.n:
             return self
-        return ContactMap(n, tuple(p for p in self.pairs if p[1] < n))
+        return ContactMap(n, self.ij[self.ij[:, 1] < n])
 
 
 def build_contact_map(positions, threshold: float = DEFAULT_THRESHOLD) -> ContactMap:
@@ -86,53 +108,54 @@ def build_contact_map(positions, threshold: float = DEFAULT_THRESHOLD) -> Contac
     diff = pos[:, None, :] - pos[None, :, :]
     d2 = np.einsum("ijk,ijk->ij", diff, diff)
     close = d2 <= threshold * threshold
-    iu, ju = np.triu_indices(pos.shape[0], k=1)
-    keep = close[iu, ju]
-    pairs = tuple(zip(iu[keep].tolist(), ju[keep].tolist()))
-    return ContactMap(pos.shape[0], pairs)
+    return ContactMap(pos.shape[0], np.argwhere(np.triu(close, 1)))
 
 
 def serialize_contacts(cmap: ContactMap) -> str:
     """Text form: "n=<N>" then one "i j" line per pair, i < j, ascending."""
-    lines = [f"n={cmap.n}"]
-    lines.extend(f"{i} {j}" for i, j in sorted(cmap.pairs))
-    return "\n".join(lines) + "\n"
+    return f"n={cmap.n}\n" + "%d %d\n" * len(cmap.ij) % tuple(cmap.ij.ravel().tolist())
+
+
+# Lines as serialize_contacts writes them, then lines of two integers of at
+# most 18 ASCII digits (so int64 holds them) between blanks, or blank lines.
+_CANONICAL_LINES = re.compile(r"(?:[0-9]{1,18} [0-9]{1,18}\n)*")
+_PAIR_LINES = re.compile(r"(?:[ \t]*(?:[-+]?[0-9]{1,18}[ \t]+[-+]?[0-9]{1,18}[ \t]*)?\n)*")
 
 
 def deserialize_contacts(text: str) -> ContactMap:
-    """Inverse of :func:`serialize_contacts`.
+    """Inverse of :func:`serialize_contacts`; blank lines and extra blanks are allowed.
 
     Raises:
-        FormatError: malformed header, non-integer tokens, pairs with
-            i >= j, negative indices, or out-of-order pairs.
+        FormatError: malformed header, n > 2**31, a line that is not two
+            integers, a negative index, pairs with i >= j, or out-of-order pairs.
         IndexOutOfRange: a pair index >= n.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("n="):
+    head, body = "", text.replace("\r", "\n")  # "\r" and "\r\n" end lines too
+    while not head.strip() and body:  # blank lines before the header are skipped
+        head, _, body = body.partition("\n")
+    if not head.startswith("n="):
         raise FormatError("missing 'n=<N>' header line")
     try:
-        n = int(lines[0][2:])
+        n = int(head[2:])
     except ValueError as exc:
-        raise FormatError(f"bad header {lines[0]!r}") from exc
-    if n < 1:
-        raise FormatError(f"n must be >= 1, got {n}")
+        raise FormatError(f"bad header {head!r}") from exc
+    if not 1 <= n <= 2**31:
+        raise FormatError(f"n must be in [1, 2**31], got {n}")
 
-    pairs: list[tuple[int, int]] = []
-    prev: tuple[int, int] | None = None
-    for ln in lines[1:]:
-        toks = ln.split()
-        if len(toks) != 2:
-            raise FormatError(f"expected 'i j', got {ln!r}")
-        try:
-            i, j = int(toks[0]), int(toks[1])
-        except ValueError as exc:
-            raise FormatError(f"non-integer pair {ln!r}") from exc
-        if i < 0 or j < 0 or i >= j:
-            raise FormatError(f"pair must satisfy 0 <= i < j, got ({i}, {j})")
-        if j >= n:
-            raise IndexOutOfRange(f"pair ({i}, {j}) out of range for n={n}")
-        if prev is not None and (i, j) <= prev:
-            raise FormatError(f"pairs not strictly ascending at ({i}, {j})")
-        prev = (i, j)
-        pairs.append((i, j))
-    return ContactMap(n, tuple(pairs))
+    body += "\n"  # ends a last line that lacks one; a blank line is harmless
+    end = _PAIR_LINES.match(body, _CANONICAL_LINES.match(body).end()).end()
+    prefix = body[:end].strip()  # numpy parses blanks alone as one 0
+    ij = np.fromstring(prefix, dtype=np.int64, sep=" ").reshape(-1, 2)
+    i, j = ij[:, 0], ij[:, 1]
+    # The first bad pair decides the error, as for a line-by-line reader.
+    # Its predecessor is valid, so comparing i * n + j orders the two.
+    unordered, out_of_range = (i < 0) | (i >= j), j >= n
+    bad = unordered | out_of_range | np.r_[False, np.diff(i * n + j) <= 0]
+    if bad.any():
+        k = int(np.argmax(bad))
+        error = IndexOutOfRange if out_of_range[k] and not unordered[k] else FormatError
+        raise error(f"pair ({i[k]}, {j[k]}) breaks 0 <= i < j < n={n} or ascending order")
+    if end < len(body):
+        line = body[end:].partition("\n")[0]
+        raise FormatError(f"expected 'i j', got {line!r}")
+    return ContactMap(n, ij)

@@ -214,24 +214,18 @@ def batch_encode(
     if attention_mode not in ("contact", "full"):
         raise ValueError(f"unknown attention mode {attention_mode!r}")
 
-    rows = [(tokenize(e.sequence)[:max_len], e.contact_map.truncated(max_len), e.label)
-            for e in entries]
-
-    b = len(rows)
-    l = max(len(toks) for toks, _, _ in rows)
+    rows = [tokenize(e.sequence)[:max_len] for e in entries]
+    b, l = len(rows), max(map(len, rows))
     tokens = np.zeros((b, l), dtype=np.int64)
     key_pad = np.ones((b, l), dtype=bool)
     attn = np.ones((b, l, l), dtype=bool)
-    labels = np.zeros(b, dtype=np.int64)
-    for bi, (toks, cmap, label) in enumerate(rows):
+    contact = attention_mode == "contact"
+    for bi, (e, toks) in enumerate(zip(entries, rows)):
         n = len(toks)
         tokens[bi, :n] = toks
         key_pad[bi, :n] = False
-        if attention_mode == "contact":
-            attn[bi, :n, :n] = ~cmap.dense()
-        else:
-            attn[bi, :n, :n] = False
-        labels[bi] = label
+        attn[bi, :n, :n] = ~e.contact_map.truncated(n).dense() if contact else False
+    labels = np.array([e.label for e in entries], dtype=np.int64)
     return EncodedBatch(tokens, key_pad, attn, labels)
 
 
@@ -293,18 +287,27 @@ def read_index(path) -> tuple[list[IndexRow], list[tuple[str, str]]]:
 
 
 def entry_to_line(entry: Entry) -> str:
-    pairs = ",".join(f"{i}-{j}" for i, j in sorted(entry.contact_map.pairs))
+    ij = entry.contact_map.ij
+    pairs = ("%d-%d," * len(ij))[:-1] % tuple(ij.ravel().tolist())
     return f"{entry.id}\t{entry.label}\t{entry.sequence}\t{pairs}\n"
 
 
+_DROP_DIGITS = str.maketrans("", "", "0123456789")
+
+
 def entry_from_line(line: str) -> Entry:
-    entry_id, label, sequence, pair_field = line.rstrip("\n").split("\t")
-    pairs = tuple(
-        tuple(int(v) for v in chunk.split("-"))
-        for chunk in pair_field.split(",")
-        if chunk
-    )
-    return Entry(entry_id, sequence, ContactMap(len(sequence), pairs), int(label))
+    """Inverse of :func:`entry_to_line`. The pair field is comma-separated
+    "i-j" chunks of ASCII digits (empty chunks are skipped); ValueError if not."""
+    entry_id, label, sequence, field = line.rstrip("\n").split("\t")
+    if ",," in field or field[:1] == "," or field[-1:] == ",":
+        field = ",".join(filter(None, field.split(",")))
+    k = field.count(",") + 1 if field else 0
+    # digits and exactly one "-" per chunk, with digits on both sides of it
+    if (field.translate(_DROP_DIGITS) != ("-," * k)[:-1] or "-," in field or ",-" in field
+            or field[:1] == "-" or field[-1:] == "-"):
+        raise ValueError(f"entry {entry_id!r}: malformed contact pairs")
+    ij = np.fromstring(field.replace("-", ","), dtype=np.int64, sep=",").reshape(-1, 2)
+    return Entry(entry_id, sequence, ContactMap(len(sequence), ij), int(label))
 
 
 def save_entries(path, entries: list[Entry]) -> None:

@@ -41,7 +41,7 @@ def topology_contacts(label: int, length: int) -> ContactMap:
     elif label == 3:
         half = length // 2
         rungs = tuple((i, i + half) for i in range(length - half))
-        pairs = tuple(sorted(set(_band_pairs(length, 1)) | set(rungs)))
+        pairs = _band_pairs(length, 1) + rungs  # ContactMap sorts and drops repeats
     else:
         raise ValueError(f"label must be in [0, {N_TOPOLOGY_CLASSES}), got {label}")
     return ContactMap(length, pairs)

@@ -25,7 +25,7 @@ from .optim import AdamState, adam_step
 
 
 class Divergence(RuntimeError):
-    """Training loss became non-finite."""
+    """Training loss or a parameter gradient became non-finite."""
 
 
 @dataclass(frozen=True)
@@ -137,8 +137,8 @@ def train(
     the best (lowest) validation loss seen, including the pre-training
     baseline. Fixed seeds make the whole run deterministic.
 
-    Raises Divergence (after writing a state dump next to the checkpoint)
-    if the training loss becomes non-finite.
+    Raises Divergence (after writing a state dump next to the checkpoint),
+    before the Adam step, if the loss or a parameter gradient is non-finite.
     """
     if not train_entries or not val_entries:
         raise ValueError("train and validation sets must be non-empty")
@@ -177,13 +177,19 @@ def train(
                                         train_mode=True, rng=dropout_rng)
             loss = ad.weighted_cross_entropy(logits, batch.labels, weights)
             loss_value = loss.item()
-            if not np.isfinite(loss_value):
+            bad = None if np.isfinite(loss_value) else "loss"
+            if bad is None:
+                zero_grads(params.values())
+                loss.backward()
+                # a float64 sum is finite iff every element is: float32 grads cannot overflow it
+                bad = next((f"gradient of {name!r}" for name, p in params.items()
+                            if p.tensor.grad is not None
+                            and not np.isfinite(p.tensor.grad.sum(dtype=np.float64))), None)
+            if bad is not None:
                 if checkpoint_path is not None:
                     _dump_divergence(f"{checkpoint_path}.divergence.json",
                                      epoch, batch_index, loss_value, params)
-                raise Divergence(f"non-finite loss at epoch {epoch}, batch {batch_index}")
-            zero_grads(params.values())
-            loss.backward()
+                raise Divergence(f"non-finite {bad} at epoch {epoch}, batch {batch_index}")
             adam_step(params, opt_state, lr=cfg.lr, weight_decay=cfg.weight_decay)
             w_batch = float(weights[batch.labels].sum())
             total_wnll += loss_value * w_batch

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contactformer.contacts import ContactMap
+from test_contacts import mutate, outcome
 from contactformer.data import (
     ALPHABET,
     EmptyDataset,
@@ -231,6 +232,58 @@ class TestEntryIO:
     def test_entry_validates_lengths(self):
         with pytest.raises(LengthMismatch):
             Entry("e", "ACD", ContactMap(2), 0)
+
+
+
+def old_entry_from_line(line):
+    """The tuple-based parser that vectorized entry_from_line replaced, with
+    the pair checks its ContactMap made; the oracle for accepted lines and
+    their errors."""
+    entry_id, label, sequence, pair_field = line.rstrip("\n").split("\t")
+    pairs = tuple(
+        tuple(int(v) for v in chunk.split("-"))
+        for chunk in pair_field.split(",")
+        if chunk
+    )
+    if len(sequence) < 1:
+        raise ValueError("contact map needs n >= 1")
+    for i, j in pairs:
+        if not (0 <= i < j < len(sequence)):
+            raise ValueError(f"bad contact pair ({i}, {j})")
+    return Entry(entry_id, sequence, ContactMap(len(sequence), pairs), int(label))
+
+
+class TestEntryLineOracle:
+    @given(n=st.integers(min_value=1, max_value=12), data=st.data())
+    @settings(max_examples=600, deadline=None)
+    def test_same_entry_or_same_error_as_tuple_parser(self, n, data):
+        """Pairs in any order, repeated or reversed, then drawn edits of the
+        line: new and old parser agree on the entry or on the error class."""
+        all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        chosen = data.draw(st.lists(st.sampled_from(all_pairs), max_size=8)
+                           if all_pairs else st.just([]))
+        if chosen and data.draw(st.booleans()):
+            chosen[0] = chosen[0][::-1]
+        seq = "".join(data.draw(st.lists(st.sampled_from(ALPHABET), min_size=n, max_size=n)))
+        pair_field = ",".join(f"{i}-{j}" for i, j in chosen)
+        # no edit puts in whitespace, which int() used to strip from a number
+        line = mutate(f"e1\t{data.draw(st.integers(0, 5))}\t{seq}\t{pair_field}", data,
+                      ",-\t", n, ["-", ",", "7", "-3", "x", "1-2-3", "\t", ",,"]) + "\n"
+        assert outcome(entry_from_line, line) == outcome(old_entry_from_line, line)
+
+    @pytest.mark.parametrize("line", [
+        "e\t0\tACDE\t0-1,,2-3,\n", "e\t0\tACDE\t,2-3,0-1,0-1\n", "e\t0\tA\t\n",
+    ])
+    def test_empty_chunks_order_and_repeats_accepted(self, line):
+        assert entry_from_line(line) == old_entry_from_line(line)
+
+    @pytest.mark.parametrize("field", [
+        "3-4-5", "0-1-2,3", "0-1,2", "0--1", "-0-1", "0-1-", "1-0", "0-4", "0-x", "0-1,2-3-",
+    ])
+    def test_malformed_pairs_rejected(self, field):
+        for parse in (entry_from_line, old_entry_from_line):
+            with pytest.raises(ValueError):
+                parse(f"e\t0\tACDE\t{field}\n")
 
 
 class TestLabelIndex:

@@ -11,11 +11,24 @@ from contactformer.pdb_io import (
     MalformedLine,
     NonstandardResidue,
     Residue,
-    chain_to_pdb_text,
     check_completeness,
     parse_structure,
     residues_to_sequence,
 )
+
+
+def chain_to_pdb_text(chain: ChainStructure) -> str:
+    """Serialize a ChainStructure back to CA ATOM lines (round-trip inverse)."""
+    lines = []
+    for serial, r in enumerate(chain.residues, start=1):
+        x, y, z = r.ca_position
+        lines.append(
+            f"ATOM  {serial:5d}  CA  {r.res_name:>3s} {chain.chain_id}"
+            f"{r.seq_id:4d}{r.insertion_code}   {x:8.3f}{y:8.3f}{z:8.3f}"
+            f"{1.0:6.2f}{0.0:6.2f}           C"
+        )
+    lines.append("END")
+    return "\n".join(lines) + "\n"
 
 
 def atom_line(seq_id, res_name="ALA", chain="C", xyz=(1.0, 2.0, 3.0),

@@ -1,9 +1,16 @@
+import importlib
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from contactformer.model import ModelConfig, load_checkpoint
+from contactformer import autodiff as ad
+from contactformer.model import ModelConfig, init_params, load_checkpoint
+from contactformer.optim import AdamState, adam_step
 from contactformer.synthetic import overfit_dataset, topology_dataset
 from contactformer.train import (
     Divergence,
@@ -16,6 +23,10 @@ from contactformer.train import (
     predict,
     train,
 )
+
+
+# the package's `train` attribute is the function, not this module
+train_mod = importlib.import_module("contactformer.train")
 
 
 def overfit_config(**overrides):
@@ -85,6 +96,57 @@ class TestTrainingLoop:
                   TrainConfig(lr=1e-3, batch_size=4, max_epochs=2, seed=0),
                   checkpoint_path=path, params=params)
         assert (tmp_path / "model.ckpt.divergence.json").exists()
+
+    @given(target=st.integers(0, 10_000), element=st.integers(0, 10**6),
+           value=st.sampled_from([np.inf, -np.inf, np.nan]), bad_step=st.integers(0, 3))
+    @settings(max_examples=12, deadline=None)
+    def test_non_finite_gradient_stops_before_adam(self, target, element, value, bad_step):
+        """An inf or NaN put into one gradient after backward() raises
+        Divergence and leaves the parameters and Adam state as they were."""
+        entries = overfit_dataset(8, 4, length=6, seed=2)
+        cfg = overfit_config(dropout=0.0)
+        params = init_params(cfg, np.random.default_rng(0))
+        name = sorted(params)[target % len(params)]
+        states, snapshots, steps = [], [], []
+
+        def state_bytes():
+            data = {n: p.tensor.data.tobytes() for n, p in params.items()}
+            state = states[0] if states else AdamState()
+            data.update({("m", n): a.tobytes() for n, a in state.m.items()})
+            data.update({("v", n): a.tobytes() for n, a in state.v.items()})
+            data["t"] = state.t
+            return data
+
+        def make_state():
+            states.append(AdamState())
+            return states[0]
+
+        def adam(*args, **kwargs):
+            out = adam_step(*args, **kwargs)
+            snapshots.append(state_bytes())
+            return out
+
+        def backward(tensor, grad=None):
+            real_backward(tensor, grad)
+            if len(steps) == bad_step:
+                g = params[name].tensor.grad
+                g.flat[element % g.size] = value
+            steps.append(1)
+
+        real_backward = ad.Tensor.backward
+        before = state_bytes()
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(train_mod, "AdamState", make_state)
+            mp.setattr(train_mod, "adam_step", adam)
+            mp.setattr(ad.Tensor, "backward", backward)
+            path = Path(tmp) / "model.ckpt"
+            with pytest.raises(Divergence, match="gradient"):
+                train(cfg, entries, entries,
+                      TrainConfig(lr=1e-3, batch_size=4, max_epochs=2, seed=0),
+                      checkpoint_path=path, params=params)
+            assert (Path(tmp) / "model.ckpt.divergence.json").exists()
+        assert len(snapshots) == bad_step
+        assert state_bytes() == (snapshots[-1] if snapshots else before)
 
     def test_rejects_empty_sets(self):
         entries = overfit_dataset(4, 4, length=6)
