@@ -56,9 +56,12 @@ def _prep_one(task):
     """Process one index row; returns (row, sequence, contact_text, reason, detail)."""
     row, pdb_dir, threshold = task
     path = Path(pdb_dir) / row.pdb_path
-    if not path.is_file():
+    if not path.is_file():  # also keeps a directory, FIFO or device from being read
         return row, None, None, "NOT_FOUND", str(path)
-    text = path.read_text(encoding="utf-8", errors="replace")
+    try:
+        text = path.read_text(encoding="utf-8", errors="replace")
+    except OSError:  # unreadable, e.g. no read permission
+        return row, None, None, "NOT_FOUND", str(path)
     try:
         chain = pdb_io.parse_structure(text, row.chain_id, row.residue_range,
                                        pdb_id=row.entry_id[:4])
@@ -105,7 +108,7 @@ def cmd_prep(args) -> int:
     label_index = LabelIndex(row.superfamily_id for row, _, _ in accepted)
     (out_dir / "labels.tsv").write_text(label_index.to_text(), encoding="utf-8")
 
-    entries = [Entry(row.entry_id, sequence, contacts.deserialize_contacts(text),
+    entries = [Entry(row.entry_id, sequence, contacts.deserialize_contacts(text, len(sequence)),
                      label_index.index_of(row.superfamily_id))
                for row, sequence, text in accepted]
     save_entries(out_dir / "processed.tsv", entries)

@@ -1,15 +1,15 @@
-"""CA-CA contact maps: construction from coordinates and a sparse text format.
+"""CA-CA contact maps: construction from coordinates and one text form.
 
 A contact map is an N x N symmetric boolean matrix with a unit diagonal:
 entry (i, j) is true iff the Euclidean distance between CA atoms i and j
 is at most the threshold (8.0 A by default, boundary inclusive). Since
 only pairwise distances enter, the map is invariant under rigid motions
-of the coordinates.
+of the coordinates. Its one text form is the pair field of processed.tsv,
+comma-separated "i-j" pairs; the size N comes from the sequence beside it.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,14 +19,6 @@ DEFAULT_THRESHOLD = 8.0
 
 class NonFiniteCoordinate(ValueError):
     """A coordinate is NaN or infinite."""
-
-
-class FormatError(ValueError):
-    """Serialized contact text does not follow the expected format."""
-
-
-class IndexOutOfRange(ValueError):
-    """A serialized contact pair refers to an index >= n."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,58 +96,34 @@ def build_contact_map(positions, threshold: float = DEFAULT_THRESHOLD) -> Contac
     if not np.all(np.isfinite(pos)):
         raise NonFiniteCoordinate("positions contain non-finite coordinates")
 
-    # Compare squared distances: exact at the boundary, no sqrt noise.
-    diff = pos[:, None, :] - pos[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    # Compare squared distances, summed one axis at a time: exact at the
+    # boundary, no sqrt noise, and no (N, N, 3) difference array.
+    d2 = sum((c[:, None] - c[None, :]) ** 2 for c in pos.T)
     close = d2 <= threshold * threshold
     return ContactMap(pos.shape[0], np.argwhere(np.triu(close, 1)))
 
 
 def serialize_contacts(cmap: ContactMap) -> str:
-    """Text form: "n=<N>" then one "i j" line per pair, i < j, ascending."""
-    return f"n={cmap.n}\n" + "%d %d\n" * len(cmap.ij) % tuple(cmap.ij.ravel().tolist())
+    """The pair field of processed.tsv: comma-separated "i-j", ascending; "" without pairs."""
+    return ("%d-%d," * len(cmap.ij))[:-1] % tuple(cmap.ij.ravel().tolist())
 
 
-# Lines as serialize_contacts writes them, then lines of two integers of at
-# most 18 ASCII digits (so int64 holds them) between blanks, or blank lines.
-_CANONICAL_LINES = re.compile(r"(?:[0-9]{1,18} [0-9]{1,18}\n)*")
-_PAIR_LINES = re.compile(r"(?:[ \t]*(?:[-+]?[0-9]{1,18}[ \t]+[-+]?[0-9]{1,18}[ \t]*)?\n)*")
+_DROP_DIGITS = str.maketrans("", "", "0123456789")
 
 
-def deserialize_contacts(text: str) -> ContactMap:
-    """Inverse of :func:`serialize_contacts`; blank lines and extra blanks are allowed.
+def deserialize_contacts(text: str, n: int) -> ContactMap:
+    """Inverse of :func:`serialize_contacts` for a map of size n.
 
-    Raises:
-        FormatError: malformed header, n > 2**31, a line that is not two
-            integers, a negative index, pairs with i >= j, or out-of-order pairs.
-        IndexOutOfRange: a pair index >= n.
+    Each comma-separated chunk is "i-j" of ASCII digits; empty chunks are
+    skipped, pairs may come in any order and repeats are dropped. Raises
+    ValueError for anything else, or a pair that breaks 0 <= i < j < n.
     """
-    head, body = "", text.replace("\r", "\n")  # "\r" and "\r\n" end lines too
-    while not head.strip() and body:  # blank lines before the header are skipped
-        head, _, body = body.partition("\n")
-    if not head.startswith("n="):
-        raise FormatError("missing 'n=<N>' header line")
-    try:
-        n = int(head[2:])
-    except ValueError as exc:
-        raise FormatError(f"bad header {head!r}") from exc
-    if not 1 <= n <= 2**31:
-        raise FormatError(f"n must be in [1, 2**31], got {n}")
-
-    body += "\n"  # ends a last line that lacks one; a blank line is harmless
-    end = _PAIR_LINES.match(body, _CANONICAL_LINES.match(body).end()).end()
-    prefix = body[:end].strip()  # numpy parses blanks alone as one 0
-    ij = np.fromstring(prefix, dtype=np.int64, sep=" ").reshape(-1, 2)
-    i, j = ij[:, 0], ij[:, 1]
-    # The first bad pair decides the error, as for a line-by-line reader.
-    # Its predecessor is valid, so comparing i * n + j orders the two.
-    unordered, out_of_range = (i < 0) | (i >= j), j >= n
-    bad = unordered | out_of_range | np.r_[False, np.diff(i * n + j) <= 0]
-    if bad.any():
-        k = int(np.argmax(bad))
-        error = IndexOutOfRange if out_of_range[k] and not unordered[k] else FormatError
-        raise error(f"pair ({i[k]}, {j[k]}) breaks 0 <= i < j < n={n} or ascending order")
-    if end < len(body):
-        line = body[end:].partition("\n")[0]
-        raise FormatError(f"expected 'i j', got {line!r}")
+    if ",," in text or text[:1] == "," or text[-1:] == ",":
+        text = ",".join(filter(None, text.split(",")))
+    k = text.count(",") + 1 if text else 0
+    # digits and exactly one "-" per chunk, with digits on both sides of it
+    if (text.translate(_DROP_DIGITS) != ("-," * k)[:-1] or "-," in text or ",-" in text
+            or text[:1] == "-" or text[-1:] == "-"):
+        raise ValueError("malformed contact pairs")
+    ij = np.fromstring(text.replace("-", ","), dtype=np.int64, sep=",").reshape(-1, 2)
     return ContactMap(n, ij)

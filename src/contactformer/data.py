@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contacts import ContactMap
+from .contacts import ContactMap, deserialize_contacts, serialize_contacts
 
 ALPHABET = "ACDEFGHIKLMNPQRSTVWY"
 TOKEN_OF = {aa: i + 1 for i, aa in enumerate(ALPHABET)}
@@ -253,61 +253,56 @@ def read_index(path) -> tuple[list[IndexRow], list[tuple[str, str]]]:
     """Parse the TSV index: entry_id, pdb_path, chain_id, start, end, superfamily.
 
     '-' in the range columns means unbounded (whole chain). Returns the
-    valid rows and, for every malformed row, (entry_id, reason): a row
-    without 6 fields, a non-integer range bound, or a repeated entry id
-    (the first occurrence is kept).
+    valid rows and, for every malformed row, (entry_id, reason): a row not
+    valid UTF-8 (U+FFFD marks the bad bytes), without 6 fields, with a
+    non-integer range bound, or with a repeated entry id (the first is kept).
     """
     rows: list[IndexRow] = []
     malformed: list[tuple[str, str]] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, ln in enumerate(fh, start=1):
-            ln = ln.rstrip("\n")
-            if not ln.strip() or ln.startswith("#"):
-                continue
-            parts = ln.split("\t")
-            where = f"line {lineno}"
-            if len(parts) != 6:
-                malformed.append((parts[0], f"{where}: expected 6 tab-separated fields"))
-                continue
-            entry_id, pdb_path, chain_id, start, end, sf = parts
-            if entry_id in seen:
-                malformed.append((entry_id, f"{where}: duplicate entry id"))
-                continue
-            try:
-                bounds = [None if v == "-" else int(v) for v in (start, end)]
-            except ValueError as exc:
-                malformed.append((entry_id, f"{where}: {exc}"))
-                continue
-            seen.add(entry_id)
-            rows.append(IndexRow(entry_id, pdb_path, chain_id, *bounds, sf))
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()  # splits at "\n", "\r\n" and "\r", as text mode does
+    for lineno, raw in enumerate(lines, start=1):
+        ln = raw.decode("utf-8", errors="replace")
+        if not ln.strip() or ln.startswith("#"):
+            continue
+        parts = ln.split("\t")
+        where = f"line {lineno}"
+        if "\ufffd" in ln and ln.encode("utf-8") != raw:  # a real U+FFFD round-trips
+            malformed.append((parts[0], f"{where}: not valid UTF-8"))
+            continue
+        if len(parts) != 6:
+            malformed.append((parts[0], f"{where}: expected 6 tab-separated fields"))
+            continue
+        entry_id, pdb_path, chain_id, start, end, sf = parts
+        if entry_id in seen:
+            malformed.append((entry_id, f"{where}: duplicate entry id"))
+            continue
+        try:
+            bounds = [None if v == "-" else int(v) for v in (start, end)]
+        except ValueError as exc:
+            malformed.append((entry_id, f"{where}: {exc}"))
+            continue
+        seen.add(entry_id)
+        rows.append(IndexRow(entry_id, pdb_path, chain_id, *bounds, sf))
     if not rows and not malformed:
         raise EmptyDataset(f"index {path} has no entries")
     return rows, malformed
 
 
 def entry_to_line(entry: Entry) -> str:
-    ij = entry.contact_map.ij
-    pairs = ("%d-%d," * len(ij))[:-1] % tuple(ij.ravel().tolist())
-    return f"{entry.id}\t{entry.label}\t{entry.sequence}\t{pairs}\n"
-
-
-_DROP_DIGITS = str.maketrans("", "", "0123456789")
+    return f"{entry.id}\t{entry.label}\t{entry.sequence}\t{serialize_contacts(entry.contact_map)}\n"
 
 
 def entry_from_line(line: str) -> Entry:
-    """Inverse of :func:`entry_to_line`. The pair field is comma-separated
-    "i-j" chunks of ASCII digits (empty chunks are skipped); ValueError if not."""
+    """Inverse of :func:`entry_to_line`; ValueError naming the entry if its
+    pair field is malformed (see :func:`deserialize_contacts`)."""
     entry_id, label, sequence, field = line.rstrip("\n").split("\t")
-    if ",," in field or field[:1] == "," or field[-1:] == ",":
-        field = ",".join(filter(None, field.split(",")))
-    k = field.count(",") + 1 if field else 0
-    # digits and exactly one "-" per chunk, with digits on both sides of it
-    if (field.translate(_DROP_DIGITS) != ("-," * k)[:-1] or "-," in field or ",-" in field
-            or field[:1] == "-" or field[-1:] == "-"):
-        raise ValueError(f"entry {entry_id!r}: malformed contact pairs")
-    ij = np.fromstring(field.replace("-", ","), dtype=np.int64, sep=",").reshape(-1, 2)
-    return Entry(entry_id, sequence, ContactMap(len(sequence), ij), int(label))
+    try:
+        cmap = deserialize_contacts(field, len(sequence))
+    except ValueError as exc:
+        raise ValueError(f"entry {entry_id!r}: {exc}") from None
+    return Entry(entry_id, sequence, cmap, int(label))
 
 
 def save_entries(path, entries: list[Entry]) -> None:

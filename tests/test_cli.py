@@ -1,6 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from contactformer import cli
 from contactformer.data import SplitManifest, load_entries
@@ -124,6 +127,66 @@ class TestPrep:
         assert len(entries) == 10
         # the first occurrence of a duplicated id is the one kept
         assert "sfz.9.9" not in (tmp_path / "out" / "labels.tsv").read_text()
+
+    def test_unreadable_file_is_not_found(self, corpus_dir, tmp_path, monkeypatch):
+        read_text = Path.read_text
+
+        def deny(path, *args, **kwargs):
+            if path.name == "1aa0.pdb":
+                raise PermissionError(13, "Permission denied", str(path))
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", deny)
+        out = prep_corpus(corpus_dir, tmp_path / "out")
+        log = (out / "rejects.log").read_text().splitlines()
+        assert f"1aa0A\tNOT_FOUND\t{corpus_dir / 'pdbs' / '1aa0.pdb'}" in log
+        assert len(load_entries(out / "processed.tsv")) == 9
+
+    def test_non_utf8_index_row_is_malformed(self, corpus_dir, tmp_path, capsys):
+        index = tmp_path / "index.tsv"
+        index.write_bytes((corpus_dir / "index.tsv").read_bytes()
+                          + b"bad\xe9A\t1aa0.pdb\tA\t-\t-\tsfa.1.1\n")
+        assert run(["prep", "--index", index, "--pdb-dir", corpus_dir / "pdbs",
+                    "--out", tmp_path / "out"]) == 0
+        assert "# rejected[MALFORMED] = 1" in capsys.readouterr().out
+        log = (tmp_path / "out" / "rejects.log").read_text(encoding="utf-8").splitlines()
+        assert "bad\ufffdA\tMALFORMED\tline 13: not valid UTF-8" in log
+        assert len(load_entries(tmp_path / "out" / "processed.tsv")) == 10
+
+
+def _field(*examples):
+    """A drawn index field: one of `examples`, or short arbitrary text
+    without "/", so a path cannot leave the structure directory."""
+    return st.one_of(st.sampled_from(examples),
+                     st.text(max_size=6).filter(lambda t: "/" not in t))
+
+
+# One appended index row: 1 to 7 tab-separated drawn fields, or arbitrary bytes.
+_FUZZED_ROW = st.one_of(
+    st.tuples(
+        _field("1aa0A", "9zz0A", "newA", ""),
+        _field("1aa0.pdb", "3ca0.pdb", "9zz1.pdb", "gone.pdb", "", ".", ".."),
+        _field("A", "B", "C", "", "AB", " "),
+        _field("-", "1", "24", "x", "", "-5", "99999999999999999999"),
+        _field("-", "12", "30", "x", ""),
+        _field("sfa.1.1", "sfz.9.9", ""),
+    ).flatmap(lambda f: st.integers(1, 7).map(lambda k: "\t".join((f + f)[:k]).encode())),
+    st.binary(max_size=40),
+)
+
+
+class TestPrepFuzz:
+    @given(row=_FUZZED_ROW)
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_one_fuzzed_row_never_aborts(self, corpus_dir, tmp_path, row):
+        index = tmp_path / "index.tsv"
+        index.write_bytes((corpus_dir / "index.tsv").read_bytes() + row + b"\n")
+        out = tmp_path / "out"
+        assert run(["prep", "--index", index, "--pdb-dir", corpus_dir / "pdbs",
+                    "--out", out]) == 0
+        (out / "rejects.log").read_text(encoding="utf-8")  # stays valid UTF-8
+        assert len(load_entries(out / "processed.tsv")) >= 10
 
 
 class TestSplit:

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from contactformer.contacts import ContactMap
+from contactformer.contacts import ContactMap, deserialize_contacts
 from test_contacts import mutate, outcome
 from contactformer.data import (
     ALPHABET,
@@ -19,6 +19,7 @@ from contactformer.data import (
     compute_class_weights,
     entry_from_line,
     entry_to_line,
+    read_index,
     stratified_split,
     tokenize,
 )
@@ -270,6 +271,12 @@ class TestEntryLineOracle:
         line = mutate(f"e1\t{data.draw(st.integers(0, 5))}\t{seq}\t{pair_field}", data,
                       ",-\t", n, ["-", ",", "7", "-3", "x", "1-2-3", "\t", ",,"]) + "\n"
         assert outcome(entry_from_line, line) == outcome(old_entry_from_line, line)
+        # the pair field alone, edited, through the parser entry_from_line calls
+        field = mutate(pair_field, data, ",-", n, ["-", ",", "7", "-3", "x", "1-2-3", ",,"])
+        expected = outcome(old_entry_from_line, f"e1\t0\t{seq}\t{field}\n")
+        if isinstance(expected, Entry):
+            expected = expected.contact_map
+        assert outcome(lambda text: deserialize_contacts(text, n), field) == expected
 
     @pytest.mark.parametrize("line", [
         "e\t0\tACDE\t0-1,,2-3,\n", "e\t0\tACDE\t,2-3,0-1,0-1\n", "e\t0\tA\t\n",
@@ -281,9 +288,44 @@ class TestEntryLineOracle:
         "3-4-5", "0-1-2,3", "0-1,2", "0--1", "-0-1", "0-1-", "1-0", "0-4", "0-x", "0-1,2-3-",
     ])
     def test_malformed_pairs_rejected(self, field):
-        for parse in (entry_from_line, old_entry_from_line):
-            with pytest.raises(ValueError):
-                parse(f"e\t0\tACDE\t{field}\n")
+        with pytest.raises(ValueError, match="entry 'e'"):  # the error names the entry
+            entry_from_line(f"e\t0\tACDE\t{field}\n")
+        with pytest.raises(ValueError):
+            old_entry_from_line(f"e\t0\tACDE\t{field}\n")
+        with pytest.raises(ValueError):
+            deserialize_contacts(field, 4)
+
+
+# Index bytes: arbitrary, or rows of tab-separated fields drawn from
+# meaningful values and short arbitrary bytes, ended by "\n", "\r\n" or "\r".
+_INDEX_FIELD = st.one_of(
+    st.sampled_from([b"-", b"12", b"x", b"", b"#", b"1aa0A", b"a.pdb", b" ",
+                     b"\xe9", b"\xef\xbf\xbd"]),  # a bad byte; a valid U+FFFD
+    st.binary(max_size=5),
+)
+_INDEX_BYTES = st.one_of(
+    st.binary(max_size=200),
+    st.tuples(st.lists(st.lists(_INDEX_FIELD, min_size=1, max_size=8).map(b"\t".join),
+                       max_size=6),
+              st.sampled_from([b"\n", b"\r\n", b"\r"])).map(lambda t: t[1].join(t[0])),
+)
+
+
+class TestReadIndexFuzz:
+    @given(raw=_INDEX_BYTES)
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_arbitrary_bytes_raise_only_empty_dataset(self, tmp_path, raw):
+        path = tmp_path / "index.tsv"
+        path.write_bytes(raw)
+        try:
+            rows, malformed = read_index(path)
+        except EmptyDataset:
+            return
+        assert rows or malformed
+        assert len({row.entry_id for row in rows}) == len(rows)
+        for entry_id, reason in malformed:  # prep writes these to rejects.log as UTF-8
+            (entry_id + reason).encode("utf-8")
 
 
 class TestLabelIndex:

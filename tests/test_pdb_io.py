@@ -10,11 +10,13 @@ from contactformer.pdb_io import (
     EmptyInput,
     MalformedLine,
     NonstandardResidue,
+    PdbParseError,
     Residue,
     check_completeness,
     parse_structure,
     residues_to_sequence,
 )
+from test_contacts import mutate
 
 
 def chain_to_pdb_text(chain: ChainStructure) -> str:
@@ -155,6 +157,35 @@ class TestParseStructure:
         line = atom_line(1)[:30] + f"{float('nan'):8.3f}{2.0:8.3f}{3.0:8.3f}"
         with pytest.raises(MalformedLine):
             parse_structure(line + "\n", "C")
+
+
+class TestParseStructureFuzz:
+    @given(data=st.data(), chain_id=st.sampled_from(["C", "C", "C", "D", " ", "", "CD"]),
+           residue_range=st.none() | st.tuples(st.integers(-2, 6), st.integers(-2, 6)))
+    @settings(max_examples=400, deadline=None)
+    def test_raises_only_documented_errors(self, data, chain_id, residue_range):
+        """Mutated PDB text, or arbitrary text: a chain, a PdbParseError, or
+        the ValueError for a chain id that is not one character."""
+        text = "\n".join([
+            "HEADER    FUZZ", atom_line(1), atom_line(2, "MSE", xyz=(-4.5, 5.0, 60.25)),
+            atom_line(3, chain="D", icode="B"), "HETATM" + atom_line(4)[6:],
+            atom_line(5, altloc="A"), atom_line(6), "ENDMDL", atom_line(7),
+        ]) + "\n"
+        if data.draw(st.integers(0, 3)):
+            pieces = ["x", "nan", "-inf", "1e999", "-", " ", "\n", "ENDMDL\n", "ATOM  ", "\t",
+                      "\r", "\u00e9", "\x00", " CA ", "\x85"]
+            for _ in range(2):  # up to six edits
+                text = mutate(text, data, " \n", 9, pieces)
+        else:
+            text = data.draw(st.text(max_size=120))
+        try:
+            chain = parse_structure(text, chain_id, residue_range)
+        except PdbParseError:
+            return
+        except ValueError as exc:
+            assert len(chain_id) != 1 and "chain_id" in str(exc)
+            return
+        assert len(chain) >= 1 and np.isfinite(chain.ca_coordinates()).all()
 
 
 class TestResiduesToSequence:
