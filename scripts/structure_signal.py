@@ -17,6 +17,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from contactformer.data import ATTENTION_MODES
 from contactformer.model import ModelConfig
 from contactformer.synthetic import topology_dataset
 from contactformer.train import TrainConfig, evaluate, history_to_csv, train
@@ -44,7 +45,7 @@ def main() -> int:
                        seed=args.seed)
 
     results = {}
-    for mode in ("contact", "full"):
+    for mode in ATTENTION_MODES:
         cfg = ModelConfig(n_classes=4, embed_dim=args.embed_dim,
                           n_heads=args.heads, n_layers=args.layers,
                           attention_mode=mode)

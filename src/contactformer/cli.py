@@ -18,6 +18,7 @@ import numpy as np
 from . import contacts, pdb_io
 from .contacts import build_contact_map, serialize_contacts
 from .data import (
+    ATTENTION_MODES,
     Entry,
     LabelIndex,
     SplitManifest,
@@ -225,7 +226,7 @@ def _add_model_flags(p: argparse.ArgumentParser):
                    help="default: 4 * embed-dim")
     p.add_argument("--dropout", type=float, default=0.1)
     p.add_argument("--max-len", type=int, default=512)
-    p.add_argument("--attention", choices=("contact", "full"), default="contact")
+    p.add_argument("--attention", choices=ATTENTION_MODES, default="contact")
     p.add_argument("--no-positional", action="store_true",
                    help="disable sinusoidal positional encodings")
 

@@ -23,6 +23,8 @@ ALPHABET = "ACDEFGHIKLMNPQRSTVWY"
 TOKEN_OF = {aa: i + 1 for i, aa in enumerate(ALPHABET)}
 PAD_ID = 0
 
+ATTENTION_MODES = ("contact", "full")  # contact-masked, or sequence-only
+
 
 class UnknownResidue(ValueError):
     """Sequence contains a character outside the 20-letter alphabet."""
@@ -86,7 +88,7 @@ class LabelIndex:
     @classmethod
     def from_text(cls, text: str) -> "LabelIndex":
         ids = []
-        for ln in text.splitlines():
+        for ln in text.split("\n"):  # the separator to_text writes; ids may hold other breaks
             if not ln.strip():
                 continue
             sf, idx = ln.split("\t")
@@ -211,7 +213,7 @@ def batch_encode(
     """
     if not entries:
         raise EmptyDataset("cannot encode an empty batch")
-    if attention_mode not in ("contact", "full"):
+    if attention_mode not in ATTENTION_MODES:
         raise ValueError(f"unknown attention mode {attention_mode!r}")
 
     rows = [tokenize(e.sequence)[:max_len] for e in entries]

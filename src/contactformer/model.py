@@ -16,17 +16,18 @@ import json
 import math
 import os
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
+from .data import ATTENTION_MODES
 
 CHECKPOINT_MAGIC = b"CFCK"
 CHECKPOINT_VERSION = 2
 
-ATTENTION_MODES = ("contact", "full")
+_DTYPE_CODES = {np.dtype(np.float32): "<f4", np.dtype(np.float64): "<f8"}
 
 
 class ConfigMismatch(ValueError):
@@ -51,18 +52,19 @@ class ModelConfig:
     use_positional: bool = True
 
     def __post_init__(self):
-        if self.n_classes < 1:
-            raise ValueError(f"n_classes must be >= 1, got {self.n_classes}")
+        if self.ffn_dim is None:
+            object.__setattr__(self, "ffn_dim", 4 * self.embed_dim)
+        sizes = dict(n_classes=1, embed_dim=1, n_heads=1, ffn_dim=1, max_len=1, vocab_size=1,
+                     n_layers=0)
+        for name, low in sizes.items():
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.embed_dim % self.n_heads != 0:
-            raise ValueError(
-                f"embed_dim {self.embed_dim} not divisible by n_heads {self.n_heads}"
-            )
+            raise ValueError(f"embed_dim {self.embed_dim} not divisible by n_heads {self.n_heads}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.attention_mode not in ATTENTION_MODES:
             raise ValueError(f"attention_mode must be one of {ATTENTION_MODES}")
-        if self.ffn_dim is None:
-            object.__setattr__(self, "ffn_dim", 4 * self.embed_dim)
 
 
 def positional_encoding(length: int, dim: int, dtype=np.float32) -> np.ndarray:
@@ -76,53 +78,45 @@ def positional_encoding(length: int, dim: int, dtype=np.float32) -> np.ndarray:
     return pe.astype(dtype)
 
 
-def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int, dtype) -> np.ndarray:
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype)
-
-
-def init_params(
-    config: ModelConfig,
-    rng: np.random.Generator,
-    dtype=np.float32,
-) -> dict[str, Parameter]:
-    """Fresh parameter set; insertion order is the checkpoint order."""
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's name and shape, in init and checkpoint order."""
     d, f, c = config.embed_dim, config.ffn_dim, config.n_classes
-    params: dict[str, Parameter] = {}
-
-    def put(name: str, data: np.ndarray):
-        params[name] = Parameter(name, Tensor(data, requires_grad=True))
-
-    put("embed.weight", (rng.standard_normal((config.vocab_size, d)) / math.sqrt(d)).astype(dtype))
+    shapes = {"embed.weight": (config.vocab_size, d)}
     for i in range(config.n_layers):
+        pre = f"layers.{i}"
         for proj in ("q", "k", "v", "out"):
-            put(f"layers.{i}.attn.{proj}.weight", _xavier(rng, d, d, dtype))
-            put(f"layers.{i}.attn.{proj}.bias", np.zeros(d, dtype=dtype))
-        put(f"layers.{i}.ln1.scale", np.ones(d, dtype=dtype))
-        put(f"layers.{i}.ln1.shift", np.zeros(d, dtype=dtype))
-        put(f"layers.{i}.ffn.w1.weight", _xavier(rng, d, f, dtype))
-        put(f"layers.{i}.ffn.w1.bias", np.zeros(f, dtype=dtype))
-        put(f"layers.{i}.ffn.w2.weight", _xavier(rng, f, d, dtype))
-        put(f"layers.{i}.ffn.w2.bias", np.zeros(d, dtype=dtype))
-        put(f"layers.{i}.ln2.scale", np.ones(d, dtype=dtype))
-        put(f"layers.{i}.ln2.shift", np.zeros(d, dtype=dtype))
-    # Small classifier init keeps initial logits near uniform, so the
-    # starting loss sits at ~log(C) instead of inflating with logit variance.
-    put("classifier.weight", (0.02 * rng.standard_normal((d, c))).astype(dtype))
-    put("classifier.bias", np.zeros(c, dtype=dtype))
+            shapes.update({f"{pre}.attn.{proj}.weight": (d, d), f"{pre}.attn.{proj}.bias": (d,)})
+        shapes.update({f"{pre}.ln1.scale": (d,), f"{pre}.ln1.shift": (d,),
+                       f"{pre}.ffn.w1.weight": (d, f), f"{pre}.ffn.w1.bias": (f,),
+                       f"{pre}.ffn.w2.weight": (f, d), f"{pre}.ffn.w2.bias": (d,),
+                       f"{pre}.ln2.scale": (d,), f"{pre}.ln2.shift": (d,)})
+    shapes.update({"classifier.weight": (d, c), "classifier.bias": (c,)})
+    return shapes
+
+
+def init_params(config: ModelConfig, rng: np.random.Generator,
+                dtype=np.float32) -> dict[str, Parameter]:
+    """Fresh parameters drawn from rng in param_shapes order (Xavier-uniform weights)."""
+    params: dict[str, Parameter] = {}
+    for name, shape in param_shapes(config).items():
+        if name == "embed.weight":
+            data = rng.standard_normal(shape) / math.sqrt(config.embed_dim)
+        elif name == "classifier.weight":
+            # Small classifier init keeps initial logits near uniform, so the
+            # starting loss sits at ~log(C) instead of inflating with logit variance.
+            data = 0.02 * rng.standard_normal(shape)
+        elif name.endswith(".weight"):
+            limit = math.sqrt(6.0 / sum(shape))
+            data = rng.uniform(-limit, limit, size=shape)
+        else:
+            data = np.ones(shape) if name.endswith(".scale") else np.zeros(shape)
+        params[name] = Parameter(name, Tensor(data.astype(dtype), requires_grad=True))
     return params
 
 
 def count_parameters(config: ModelConfig) -> int:
-    """Closed-form element count; must equal enumerating init_params."""
-    d, f = config.embed_dim, config.ffn_dim
-    per_layer = 4 * (d * d + d) + 2 * (2 * d) + (d * f + f) + (f * d + d)
-    return (
-        config.vocab_size * d
-        + config.n_layers * per_layer
-        + d * config.n_classes
-        + config.n_classes
-    )
+    """Trainable element count: the sum over the param_shapes table."""
+    return sum(math.prod(shape) for shape in param_shapes(config).values())
 
 
 def multi_head_attention(
@@ -132,7 +126,7 @@ def multi_head_attention(
     n_heads: int,
     prefix: str = "attn",
 ) -> Tensor:
-    """Masked multi-head self-attention over x of shape (B, L, d).
+    """Masked multi-head self-attention over x of shape (B, L, d); n_heads divides d.
 
     attn_mask is (B, L, L) boolean, true = query i may NOT attend key j;
     a disallowed key gets attention weight exactly 0. Padded keys must be
@@ -141,8 +135,6 @@ def multi_head_attention(
     always keep at least their diagonal, so their weights sum to 1.
     """
     b, l, d = x.shape
-    if d % n_heads != 0:
-        raise ConfigMismatch(f"model dim {d} not divisible by {n_heads} heads")
     dh = d // n_heads
 
     def proj(name: str) -> Tensor:
@@ -203,10 +195,8 @@ def encoder_forward(
     b, l = tokens.shape
     if l > config.max_len:
         raise ConfigMismatch(f"batch length {l} exceeds max_len {config.max_len}")
-    if "embed.weight" not in params or params["embed.weight"].tensor.shape[1] != config.embed_dim:
-        raise ConfigMismatch("params do not match config (embed.weight)")
-    if params["classifier.weight"].tensor.shape != (config.embed_dim, config.n_classes):
-        raise ConfigMismatch("params do not match config (classifier.weight)")
+    if {name: p.tensor.shape for name, p in params.items()} != param_shapes(config):
+        raise ConfigMismatch("params do not match the parameter layout of the config")
     if train_mode and config.dropout > 0.0 and rng is None:
         raise ValueError("train_mode forward needs an rng for dropout")
 
@@ -237,9 +227,8 @@ def save_checkpoint(
     then renamed over `path`, so a write that fails part-way leaves any
     previous checkpoint at `path` untouched.
     """
-    codes = {np.dtype(np.float32): "<f4", np.dtype(np.float64): "<f8"}
-    manifest = [{"name": name, "shape": list(p.tensor.shape), "dtype": codes[p.tensor.dtype]}
-                for name, p in params.items()]
+    manifest = [{"name": name, "shape": list(p.tensor.shape),
+                 "dtype": _DTYPE_CODES[p.tensor.dtype]} for name, p in params.items()]
     header = json.dumps(
         {"config": asdict(config), "label_index_hash": label_index_hash,
          "tensors": manifest},
@@ -268,8 +257,11 @@ def load_checkpoint(
     """Load and validate a checkpoint; round-trips bit-exactly.
 
     Raises CheckpointError when the file is not a checkpoint of a known
-    version, when its manifest's element count differs from the one its
-    config implies, or when the tensor data is truncated or followed by
+    version; when its header is malformed (a missing field, a config
+    whose keys are not ModelConfig's fields or whose values it rejects,
+    a shape that is not a list of ints, a dtype other than <f4 or <f8);
+    when the manifest's (name, shape) list differs from param_shapes of
+    its config; or when the tensor data is truncated or followed by
     trailing bytes. Version 1 files also load: their per-tensor
     "trainable" field, always true, is ignored.
     """
@@ -285,31 +277,36 @@ def load_checkpoint(
             raise CheckpointError(f"unsupported checkpoint version {version}")
         try:
             header = json.loads(fh.read(header_len).decode("utf-8"))
-        except ValueError as exc:
-            raise CheckpointError(f"unreadable checkpoint header: {exc}") from exc
-        config = ModelConfig(**header["config"])
-        label_hash = header["label_index_hash"]
+            cfg = header["config"]
+            if type(cfg) is not dict or cfg.keys() != {f.name for f in fields(ModelConfig)}:
+                raise KeyError("config is not an object of exactly ModelConfig's fields")
+            config = ModelConfig(**cfg)
+            label_hash = header["label_index_hash"]
+            manifest = [(e["name"], e["shape"], e["dtype"]) for e in header["tensors"]]
+        except (TypeError, KeyError, ValueError) as exc:
+            raise CheckpointError(f"malformed checkpoint header: {exc!r}") from exc
         if expected_config is not None and config != expected_config:
             raise ConfigMismatch(
                 f"checkpoint config {config} != expected {expected_config}"
             )
         if expected_label_hash is not None and label_hash != expected_label_hash:
             raise ConfigMismatch("checkpoint label-index hash mismatch")
-        shapes = [tuple(entry["shape"]) for entry in header["tensors"]]
-        total = sum(math.prod(shape) for shape in shapes)
-        if total != count_parameters(config):
-            raise CheckpointError(
-                f"manifest holds {total} elements, config implies {count_parameters(config)}"
-            )
+        for name, shape, dtype in manifest:
+            if not (isinstance(shape, list) and all(type(n) is int for n in shape)):
+                raise CheckpointError(f"tensor {name!r}: shape {shape!r} is not a list of ints")
+            if dtype not in _DTYPE_CODES.values():
+                raise CheckpointError(f"tensor {name!r}: dtype {dtype!r} is not <f4 or <f8")
+        if [(n, tuple(s)) for n, s, _ in manifest] != list(param_shapes(config).items()):
+            raise CheckpointError("tensor manifest does not match the config's parameter layout")
         params: dict[str, Parameter] = {}
-        for entry, shape in zip(header["tensors"], shapes):
-            dtype = np.dtype(entry["dtype"])
+        for name, shape, dtype in manifest:
+            dtype = np.dtype(dtype)
             nbytes = math.prod(shape) * dtype.itemsize
             raw = fh.read(nbytes)
             if len(raw) != nbytes:
-                raise CheckpointError(f"truncated tensor data for {entry['name']}")
+                raise CheckpointError(f"truncated tensor data for {name}")
             arr = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-            params[entry["name"]] = Parameter(entry["name"], Tensor(arr, requires_grad=True))
+            params[name] = Parameter(name, Tensor(arr, requires_grad=True))
         if fh.read(1):
             raise CheckpointError("trailing bytes after the tensor data")
     return config, params, label_hash

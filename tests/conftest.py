@@ -1,3 +1,5 @@
+import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,47 @@ def tiny_config(**overrides) -> ModelConfig:
                 dropout=0.0, max_len=64)
     base.update(overrides)
     return ModelConfig(**base)
+
+
+def rewrite_checkpoint_header(path: Path, mutate) -> None:
+    """Apply `mutate` to a checkpoint's JSON header in place; the tensor bytes stay."""
+    raw = path.read_bytes()
+    version, n = struct.unpack("<IQ", raw[4:16])
+    header = json.loads(raw[16:16 + n])
+    mutate(header)
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(raw[:4] + struct.pack("<IQ", version, len(text)) + text + raw[16 + n:])
+
+
+def _tensor(header, name):
+    return next(e for e in header["tensors"] if e["name"] == name)
+
+
+def _swap_q_k(header):
+    tensors = header["tensors"]
+    i, j = (k for k, e in enumerate(tensors)
+            if e["name"] in ("layers.0.attn.q.weight", "layers.0.attn.k.weight"))
+    tensors[i], tensors[j] = tensors[j], tensors[i]
+
+
+def _unlist_shape(header):
+    entry = _tensor(header, "classifier.bias")
+    entry["shape"] = entry["shape"][0]
+
+
+# Header edits, each leaving a checkpoint that load_checkpoint must reject.
+# The tensor bytes stay as saved, so the data length alone does not give them away.
+BAD_HEADERS = {
+    "dtype <i4": lambda h: _tensor(h, "embed.weight").update(dtype="<i4"),
+    "dtype >f4": lambda h: _tensor(h, "embed.weight").update(dtype=">f4"),
+    "transposed shape": lambda h: _tensor(h, "layers.0.ffn.w1.weight")["shape"].reverse(),
+    "renamed tensor": lambda h: _tensor(h, "classifier.bias").update(name="classifier.offset"),
+    "same-shape tensors swapped": _swap_q_k,
+    "extra config key": lambda h: h["config"].update(extra=1),
+    "missing config key": lambda h: h["config"].pop("n_heads"),
+    "shape not a list": _unlist_shape,
+    "config not an object": lambda h: h.update(config=list(h["config"].values())),
+}
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from contactformer import cli
 from contactformer.data import SplitManifest, load_entries
 
+from conftest import BAD_HEADERS, rewrite_checkpoint_header
+
 
 def run(argv):
     return cli.main([str(a) for a in argv])
@@ -141,6 +143,20 @@ class TestPrep:
         log = (out / "rejects.log").read_text().splitlines()
         assert f"1aa0A\tNOT_FOUND\t{corpus_dir / 'pdbs' / '1aa0.pdb'}" in log
         assert len(load_entries(out / "processed.tsv")) == 9
+
+    def test_line_break_character_in_superfamily_id(self, corpus_dir, tmp_path):
+        # U+0085 is a line break to str.splitlines but not a labels.tsv row separator
+        index = tmp_path / "index.tsv"
+        index.write_text((corpus_dir / "index.tsv").read_text(encoding="utf-8")
+                         + "nelA\t1aa0.pdb\tA\t-\t-\tsf\x85x\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["prep", "--index", index, "--pdb-dir", corpus_dir / "pdbs",
+                    "--out", out]) == 0
+        assert "sf\x85x\t" in (out / "labels.tsv").read_text(encoding="utf-8")
+        assert run(["split", "--data", out, "--out", out / "manifest.json"]) == 0
+        assert run(["train", "--data", out, "--manifest", out / "manifest.json",
+                    "--checkpoint", out / "model.ckpt", "--embed-dim", 128, "--layers", 1,
+                    "--epochs", 1, "--batch-size", 4]) == 0
 
     def test_non_utf8_index_row_is_malformed(self, corpus_dir, tmp_path, capsys):
         index = tmp_path / "index.tsv"
@@ -280,6 +296,15 @@ class TestTrainEvaluateEmbed:
                     "--checkpoint", clone / "model.ckpt"])
         assert code == 2
 
+    @pytest.mark.parametrize("edit", sorted(BAD_HEADERS))
+    def test_evaluate_rejects_bad_checkpoint_header(self, pipeline_dir, tmp_path, edit):
+        checkpoint = tmp_path / "bad.ckpt"
+        checkpoint.write_bytes((pipeline_dir / "model.ckpt").read_bytes())
+        rewrite_checkpoint_header(checkpoint, BAD_HEADERS[edit])
+        assert run(["evaluate", "--data", pipeline_dir,
+                    "--manifest", pipeline_dir / "manifest.json",
+                    "--checkpoint", checkpoint]) == 2
+
     def test_embed_writes_vectors_for_all_entries(self, pipeline_dir, tmp_path):
         out = tmp_path / "emb.tsv"
         assert run(["embed", "--data", pipeline_dir,
@@ -314,6 +339,16 @@ class TestExitCodes:
     def test_missing_data_is_data_error(self, tmp_path):
         assert run(["split", "--data", tmp_path / "nowhere",
                     "--out", tmp_path / "m.json"]) == 2
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--heads", 0), ("--layers", -1), ("--max-len", 0), ("--ffn-dim", 0),
+    ])
+    def test_impossible_model_size_is_data_error(self, pipeline_dir, tmp_path, flag, value):
+        checkpoint = tmp_path / "x.ckpt"
+        assert run(["train", "--data", pipeline_dir,
+                    "--manifest", pipeline_dir / "manifest.json",
+                    "--checkpoint", checkpoint, "--epochs", 1, flag, value]) == 2
+        assert not checkpoint.exists()
 
     def test_divergence_maps_to_exit_three(self, pipeline_dir, monkeypatch, tmp_path):
         from contactformer.train import Divergence

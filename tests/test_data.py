@@ -339,3 +339,10 @@ class TestLabelIndex:
         idx = LabelIndex(["b.2", "a.1"])
         again = LabelIndex.from_text(idx.to_text())
         assert again.to_text() == idx.to_text()
+
+    @given(ids=st.lists(st.text(st.characters(exclude_characters="\t\n\r")), min_size=1))
+    def test_text_round_trip_of_any_ids(self, ids):
+        # ids may hold U+0085, U+2028 and other breaks that str.splitlines splits at
+        idx = LabelIndex(ids)
+        again = LabelIndex.from_text(idx.to_text())
+        assert [again.id_of(i) for i in range(len(again))] == sorted(set(ids))

@@ -22,11 +22,12 @@ from contactformer.model import (
     init_params,
     load_checkpoint,
     multi_head_attention,
+    param_shapes,
     positional_encoding,
     save_checkpoint,
 )
 
-from conftest import tiny_config
+from conftest import BAD_HEADERS, rewrite_checkpoint_header, tiny_config
 
 
 def random_entries(rng, n, length_range=(3, 10), n_classes=4, contact_prob=0.3):
@@ -100,6 +101,12 @@ class TestCountParameters:
         cfg = ModelConfig(n_classes=2796, embed_dim=256, n_heads=8, n_layers=5)
         assert count_parameters(cfg) == 4_672_748
 
+    def test_param_shapes_is_init_order(self):
+        cfg = tiny_config(n_layers=2)
+        params = init_params(cfg, np.random.default_rng(0))
+        assert param_shapes(cfg) == {name: p.tensor.shape for name, p in params.items()}
+        assert list(param_shapes(cfg)) == list(params)
+
 
 class TestConfigValidation:
     def test_embed_dim_must_divide_heads(self):
@@ -109,6 +116,17 @@ class TestConfigValidation:
     def test_bad_attention_mode(self):
         with pytest.raises(ValueError):
             ModelConfig(n_classes=2, attention_mode="banana")
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_classes", 0), ("embed_dim", 0), ("n_heads", 0), ("n_heads", -2), ("ffn_dim", 0),
+        ("max_len", 0), ("vocab_size", 0), ("n_layers", -1),
+    ])
+    def test_impossible_size_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be >= "):
+            tiny_config(**{field: value})
+
+    def test_zero_layers_allowed(self):
+        assert count_parameters(tiny_config(n_layers=0)) == 21 * 8 + 8 * 4 + 4
 
     def test_default_ffn_is_4x(self):
         assert ModelConfig(n_classes=2, embed_dim=32, n_heads=4).ffn_dim == 128
@@ -210,6 +228,13 @@ class TestEncoderForward:
         batch = batch_encode(random_entries(rng, 2, length_range=(6, 8)))
         with pytest.raises(ConfigMismatch):
             encoder_forward(batch, cfg, init_params(cfg, rng))
+
+    @pytest.mark.parametrize("other", [dict(ffn_dim=16), dict(n_layers=2), dict(n_classes=3)])
+    def test_params_of_another_layout_rejected(self, other):
+        rng = np.random.default_rng(7)
+        batch = batch_encode(random_entries(rng, 2))
+        with pytest.raises(ConfigMismatch, match="parameter layout"):
+            encoder_forward(batch, tiny_config(), init_params(tiny_config(**other), rng))
 
     def test_padding_invariance_in_eval_mode(self):
         rng = np.random.default_rng(6)
@@ -390,7 +415,18 @@ class TestCheckpoint:
         params.pop("classifier.bias")
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, cfg, params)
-        with pytest.raises(CheckpointError, match="elements"):
+        with pytest.raises(CheckpointError, match="manifest does not match"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", sorted(BAD_HEADERS))
+    def test_bad_header_rejected(self, tmp_path, edit):
+        rng = np.random.default_rng(21)
+        cfg = tiny_config(n_layers=2)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, cfg, init_params(cfg, rng))
+        load_checkpoint(path)
+        rewrite_checkpoint_header(path, BAD_HEADERS[edit])
+        with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
