@@ -15,8 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import contacts, pdb_io
-from .contacts import build_contact_map, serialize_contacts
+from . import pdb_io
+# serialize_contacts is not called here: perfbench/tracing.py wraps cli.serialize_contacts by name.
+from .contacts import ContactMap, build_contact_map, serialize_contacts  # noqa: F401
 from .data import (
     ATTENTION_MODES,
     Entry,
@@ -54,7 +55,7 @@ def _print_config(args: argparse.Namespace):
 # --- prep ------------------------------------------------------------------
 
 def _prep_one(task):
-    """Process one index row; returns (row, sequence, contact_text, reason, detail)."""
+    """Process one index row; returns (row, sequence, contact pairs ij, reason, detail)."""
     row, pdb_dir, threshold = task
     path = Path(pdb_dir) / row.pdb_path
     if not path.is_file():  # also keeps a directory, FIFO or device from being read
@@ -74,8 +75,8 @@ def _prep_one(task):
     if report.nonstandard_residues:
         return row, None, None, "NONSTANDARD", ",".join(report.nonstandard_residues)
     sequence = pdb_io.residues_to_sequence(chain)
-    cmap = build_contact_map(chain.ca_coordinates(), threshold)
-    return row, sequence, serialize_contacts(cmap), None, None
+    # The int32 array, not the map: a ContactMap unpickled from a worker has a writable ij.
+    return row, sequence, build_contact_map(chain.ca_coordinates(), threshold).ij, None, None
 
 
 def cmd_prep(args) -> int:
@@ -90,7 +91,7 @@ def cmd_prep(args) -> int:
     else:
         results = [_prep_one(t) for t in tasks]
 
-    accepted = [(row, seq, text) for row, seq, text, reason, _ in results if reason is None]
+    accepted = [(row, seq, ij) for row, seq, ij, reason, _ in results if reason is None]
     rejects = [(entry_id, "MALFORMED", detail) for entry_id, detail in malformed]
     rejects += [(row.entry_id, reason, detail) for row, _, _, reason, detail in results if reason]
     reason_counts = Counter(reason for _, reason, _ in rejects)
@@ -109,9 +110,9 @@ def cmd_prep(args) -> int:
     label_index = LabelIndex(row.superfamily_id for row, _, _ in accepted)
     (out_dir / "labels.tsv").write_text(label_index.to_text(), encoding="utf-8")
 
-    entries = [Entry(row.entry_id, sequence, contacts.deserialize_contacts(text, len(sequence)),
+    entries = [Entry(row.entry_id, sequence, ContactMap(len(sequence), ij),
                      label_index.index_of(row.superfamily_id))
-               for row, sequence, text in accepted]
+               for row, sequence, ij in accepted]
     save_entries(out_dir / "processed.tsv", entries)
     return 0
 

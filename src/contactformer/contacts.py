@@ -69,12 +69,6 @@ class ContactMap:
         mat[i, j] = mat[j, i] = True
         return mat
 
-    def truncated(self, n: int) -> "ContactMap":
-        """Leading n x n square of the map (for sequence truncation)."""
-        if n >= self.n:
-            return self
-        return ContactMap(n, self.ij[self.ij[:, 1] < n])
-
 
 def build_contact_map(positions, threshold: float = DEFAULT_THRESHOLD) -> ContactMap:
     """Threshold the pairwise CA-CA distances of one conformation.

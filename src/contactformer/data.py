@@ -226,7 +226,7 @@ def batch_encode(
         n = len(toks)
         tokens[bi, :n] = toks
         key_pad[bi, :n] = False
-        attn[bi, :n, :n] = ~e.contact_map.truncated(n).dense() if contact else False
+        attn[bi, :n, :n] = ~e.contact_map.dense()[:n, :n] if contact else False
     labels = np.array([e.label for e in entries], dtype=np.int64)
     return EncodedBatch(tokens, key_pad, attn, labels)
 

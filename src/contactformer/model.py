@@ -57,8 +57,9 @@ class ModelConfig:
         sizes = dict(n_classes=1, embed_dim=1, n_heads=1, ffn_dim=1, max_len=1, vocab_size=1,
                      n_layers=0)
         for name, low in sizes.items():
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not hasattr(value, "__index__") or value < low:  # what operator.index takes
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if self.embed_dim % self.n_heads != 0:
             raise ValueError(f"embed_dim {self.embed_dim} not divisible by n_heads {self.n_heads}")
         if not 0.0 <= self.dropout < 1.0:
@@ -197,8 +198,6 @@ def encoder_forward(
         raise ConfigMismatch(f"batch length {l} exceeds max_len {config.max_len}")
     if {name: p.tensor.shape for name, p in params.items()} != param_shapes(config):
         raise ConfigMismatch("params do not match the parameter layout of the config")
-    if train_mode and config.dropout > 0.0 and rng is None:
-        raise ValueError("train_mode forward needs an rng for dropout")
 
     embed = params["embed.weight"].tensor
     x = ad.mul(ad.embedding(embed, tokens), math.sqrt(config.embed_dim))

@@ -32,7 +32,7 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
     weight_decay: float = 0.01,
-) -> AdamState:
+) -> None:
     """One in-place update over all params with a .grad buffer.
 
     Raises ShapeMismatch if a gradient or moment buffer disagrees with its
@@ -66,4 +66,3 @@ def adam_step(
         m_hat = m / bc1
         v_hat = v / bc2
         x -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(x.dtype)
-    return state

@@ -63,6 +63,8 @@ BAD_HEADERS = {
     "missing config key": lambda h: h["config"].pop("n_heads"),
     "shape not a list": _unlist_shape,
     "config not an object": lambda h: h.update(config=list(h["config"].values())),
+    "float sizes": lambda h: h["config"].update(
+        {k: float(h["config"][k]) for k in ("embed_dim", "n_heads")}),
 }
 
 

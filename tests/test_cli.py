@@ -61,6 +61,24 @@ class TestPrep:
         for name in ("processed.tsv", "labels.tsv", "rejects.log"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_contact_maps_reach_the_parent_without_text(self, corpus_dir, tmp_path, monkeypatch):
+        # Workers return int32 pair arrays; only save_entries writes the pair text.
+        from contactformer import contacts
+        plain = prep_corpus(corpus_dir, tmp_path / "plain")
+        calls = {}
+        for owner, name in ((cli, "serialize_contacts"), (contacts, "deserialize_contacts")):
+            calls[name] = 0
+
+            def counted(*args, _real=getattr(owner, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        out = prep_corpus(corpus_dir, tmp_path / "counted", extra=["--workers", "1"])
+        assert calls == {"serialize_contacts": 0, "deserialize_contacts": 0}
+        for name in ("processed.tsv", "labels.tsv", "rejects.log"):
+            assert (out / name).read_bytes() == (plain / name).read_bytes()
+
     def test_missing_file_is_not_found(self, tmp_path):
         (tmp_path / "pdbs").mkdir()
         index = tmp_path / "index.tsv"

@@ -111,12 +111,6 @@ class TestContactMapType:
         with pytest.raises(ValueError):
             ContactMap(3, ((0, 3),))
 
-    def test_truncated_drops_out_of_window_pairs(self):
-        cmap = ContactMap(5, ((0, 1), (1, 4), (2, 3)))
-        cut = cmap.truncated(4)
-        assert cut.n == 4 and cut.pairs == ((0, 1), (2, 3))
-        assert cmap.truncated(5) is cmap
-
 
 class TestContactMapArray:
     @given(n=st.integers(min_value=1, max_value=12), data=st.data())

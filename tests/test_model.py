@@ -119,10 +119,10 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("field, value", [
         ("n_classes", 0), ("embed_dim", 0), ("n_heads", 0), ("n_heads", -2), ("ffn_dim", 0),
-        ("max_len", 0), ("vocab_size", 0), ("n_layers", -1),
+        ("max_len", 0), ("vocab_size", 0), ("n_layers", -1), ("embed_dim", 8.0),
     ])
     def test_impossible_size_rejected(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be >= "):
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= "):
             tiny_config(**{field: value})
 
     def test_zero_layers_allowed(self):
