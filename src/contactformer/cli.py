@@ -55,28 +55,39 @@ def _print_config(args: argparse.Namespace):
 # --- prep ------------------------------------------------------------------
 
 def _prep_one(task):
-    """Process one index row; returns (row, sequence, contact pairs ij, reason, detail)."""
-    row, pdb_dir, threshold = task
-    path = Path(pdb_dir) / row.pdb_path
+    """Process the index rows naming one PDB file, read and scanned once; returns
+    one (sequence, contact pairs ij, reason, detail) per row, in row order."""
+    pdb_path, rows, pdb_dir, threshold = task
+    path = Path(pdb_dir) / pdb_path
     if not path.is_file():  # also keeps a directory, FIFO or device from being read
-        return row, None, None, "NOT_FOUND", str(path)
+        return [(None, None, "NOT_FOUND", str(path))] * len(rows)
     try:
         text = path.read_text(encoding="utf-8", errors="replace")
     except OSError:  # unreadable, e.g. no read permission
-        return row, None, None, "NOT_FOUND", str(path)
+        return [(None, None, "NOT_FOUND", str(path))] * len(rows)
+    return [_prep_row(text, row, threshold) for row in rows]
+
+
+def _prep_row(text, row, threshold):
     try:
         chain = pdb_io.parse_structure(text, row.chain_id, row.residue_range,
                                        pdb_id=row.entry_id[:4])
     except ValueError as exc:  # PdbParseError, or a chain id that is not one character
-        return row, None, None, "MALFORMED", str(exc)
+        return None, None, "MALFORMED", str(exc)
     report = pdb_io.check_completeness(chain, row.residue_range)
     if report.n_gaps > 0:
-        return row, None, None, "INCOMPLETE", f"gaps={report.n_gaps}"
+        return None, None, "INCOMPLETE", f"gaps={report.n_gaps}"
     if report.nonstandard_residues:
-        return row, None, None, "NONSTANDARD", ",".join(report.nonstandard_residues)
+        return None, None, "NONSTANDARD", ",".join(report.nonstandard_residues)
     sequence = pdb_io.residues_to_sequence(chain)
     # The int32 array, not the map: a ContactMap unpickled from a worker has a writable ij.
-    return row, sequence, build_contact_map(chain.ca_coordinates(), threshold).ij, None, None
+    return sequence, build_contact_map(chain.ca_coordinates(), threshold).ij, None, None
+
+
+def finite_positive_float(text: str) -> float:
+    if not 0 < float(text) < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
+    return float(text)
 
 
 def cmd_prep(args) -> int:
@@ -84,12 +95,20 @@ def cmd_prep(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     rows, malformed = read_index(args.index)
 
-    tasks = [(row, args.pdb_dir, args.threshold) for row in rows]
+    # One task per file, in the order each file is first named; entry ids are unique.
+    by_file: dict[str, list] = {}
+    for row in rows:
+        by_file.setdefault(row.pdb_path, []).append(row)
+    tasks = [(pdb_path, file_rows, args.pdb_dir, args.threshold)
+             for pdb_path, file_rows in by_file.items()]
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_prep_one, tasks, chunksize=4))
+            per_file = list(pool.map(_prep_one, tasks, chunksize=4))
     else:
-        results = [_prep_one(t) for t in tasks]
+        per_file = [_prep_one(t) for t in tasks]
+    outcome = {row.entry_id: out for file_rows, outs in zip(by_file.values(), per_file)
+               for row, out in zip(file_rows, outs)}
+    results = [(row, *outcome[row.entry_id]) for row in rows]
 
     accepted = [(row, seq, ij) for row, seq, ij, reason, _ in results if reason is None]
     rejects = [(entry_id, "MALFORMED", detail) for entry_id, detail in malformed]
@@ -242,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "res_start res_end superfamily ('-' = unbounded)")
     p.add_argument("--pdb-dir", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--threshold", type=float, default=8.0)
+    p.add_argument("--threshold", type=finite_positive_float, default=8.0)
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_prep)
 

@@ -75,13 +75,16 @@ def build_contact_map(positions, threshold: float = DEFAULT_THRESHOLD) -> Contac
 
     Args:
         positions: (N, 3) array-like of coordinates in Angstrom.
-        threshold: contact distance in Angstrom; a pair at exactly the
-            threshold counts as a contact.
+        threshold: contact distance in Angstrom, finite and positive; a pair
+            at exactly the threshold counts as a contact.
 
     Raises:
         NonFiniteCoordinate: if any coordinate is NaN or infinite.
-        ValueError: if positions is empty or not 3-dimensional.
+        ValueError: if positions is empty or not 3-dimensional, or the
+            threshold is not in (0, inf).
     """
+    if not 0 < threshold < np.inf:  # false for NaN too
+        raise ValueError(f"threshold must be a finite positive distance, got {threshold!r}")
     pos = np.asarray(positions, dtype=np.float64)
     if pos.size == 0:
         raise ValueError("positions must be non-empty")

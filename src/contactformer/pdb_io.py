@@ -13,6 +13,8 @@ Column layout (1-based, per the PDB format):
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,6 +88,24 @@ class CompletenessReport:
         return self.n_gaps == 0 and not self.nonstandard_residues
 
 
+@functools.lru_cache(maxsize=1)  # the rows naming one file share its scan
+def _ca_lines(pdb_text: str) -> dict[str, list[tuple[str, str]]]:
+    """First-model ATOM CA lines with altloc ' ' or 'A', as (raw, padded to 54
+    columns), by chain id in file order. Shared between calls: do not modify."""
+    if not pdb_text.strip():
+        raise EmptyInput("empty PDB text")
+    by_chain: dict[str, list[tuple[str, str]]] = {}
+    for raw in pdb_text.splitlines():
+        if raw[0:6] == "ENDMDL":
+            break
+        if raw[12:16].strip() != "CA" or raw[0:6].strip() != "ATOM":
+            continue
+        line = raw.ljust(54)
+        if line[16] in (" ", "A"):
+            by_chain.setdefault(line[21], []).append((raw, line))
+    return by_chain
+
+
 def parse_structure(
     pdb_text: str,
     chain_id: str,
@@ -109,30 +129,18 @@ def parse_structure(
 
     Raises:
         EmptyInput: pdb_text is empty or whitespace.
+        ValueError: chain_id is not one character.
         ChainNotFound: no ATOM/CA record matches chain_id (and range).
         MalformedLine: a matched ATOM line has unparseable residue number
             or coordinates, or a non-finite coordinate.
     """
-    if not pdb_text.strip():
-        raise EmptyInput("empty PDB text")
+    by_chain = _ca_lines(pdb_text)
     if len(chain_id) != 1:
         raise ValueError(f"chain_id must be one character, got {chain_id!r}")
 
     residues: list[Residue] = []
     seen: set[tuple[int, str]] = set()
-    for raw in pdb_text.splitlines():
-        record = raw[0:6].strip()
-        if record == "ENDMDL":
-            break
-        if record != "ATOM":
-            continue
-        line = raw.ljust(54)
-        if line[12:16].strip() != "CA":
-            continue
-        if line[16] not in (" ", "A"):
-            continue
-        if line[21] != chain_id:
-            continue
+    for raw, line in by_chain.get(chain_id, ()):
         try:
             seq_id = int(line[22:26])
         except ValueError as exc:
@@ -147,7 +155,7 @@ def parse_structure(
             z = float(line[46:54])
         except ValueError as exc:
             raise MalformedLine(f"unparseable coordinates: {raw!r}") from exc
-        if not all(np.isfinite(v) for v in (x, y, z)):
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
             raise MalformedLine(f"non-finite coordinates: {raw!r}")
         icode = line[26]
         key = (seq_id, icode)

@@ -79,6 +79,42 @@ class TestPrep:
         for name in ("processed.tsv", "labels.tsv", "rejects.log"):
             assert (out / name).read_bytes() == (plain / name).read_bytes()
 
+    def test_each_file_is_read_once(self, corpus_dir, tmp_path, monkeypatch):
+        # 12 rows name 11 files: 3ca0.pdb twice, and 9zz0.pdb is missing
+        read_text, reads = Path.read_text, []
+
+        def counted(path, *args, **kwargs):
+            reads.append(path.name)
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counted)
+        prep_corpus(corpus_dir, tmp_path / "out", extra=["--workers", "1"])
+        assert len(reads) == 10 and reads.count("3ca0.pdb") == 1
+
+    def test_outputs_follow_index_order_when_rows_of_a_file_are_apart(self, corpus_dir,
+                                                                        tmp_path):
+        rows = (corpus_dir / "index.tsv").read_text().splitlines(keepends=True)
+        moved = [row for row in rows if not row.startswith("3ca0B")]
+        moved.insert(1, next(row for row in rows if row.startswith("3ca0B")))
+        moved.insert(4, "9zz0B\t9zz0.pdb\tB\t1\t25\tsfa.1.1\n")
+        index = tmp_path / "index.tsv"
+        index.write_text("".join(moved))
+        outs = []
+        for workers in (1, 2):
+            outs.append(tmp_path / f"w{workers}")
+            assert run(["prep", "--index", index, "--pdb-dir", corpus_dir / "pdbs",
+                        "--out", outs[-1], "--workers", workers]) == 0
+        index_ids = [row.split("\t")[0] for row in moved]
+        saved = [e.id for e in load_entries(outs[0] / "processed.tsv")]
+        assert saved == [i for i in index_ids if i in saved] and len(saved) == 10
+        assert saved[:2] == ["1aa0A", "3ca0B"]
+        log = [ln.split("\t") for ln in (outs[0] / "rejects.log").read_text().splitlines()]
+        assert [ln[:2] for ln in log] == [["9zz0B", "NOT_FOUND"], ["9zz0A", "NOT_FOUND"],
+                                          ["9zz1A", "INCOMPLETE"]]
+        assert log[0][2] == log[1][2] == str(corpus_dir / "pdbs" / "9zz0.pdb")
+        for name in ("processed.tsv", "labels.tsv", "rejects.log"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
     def test_missing_file_is_not_found(self, tmp_path):
         (tmp_path / "pdbs").mkdir()
         index = tmp_path / "index.tsv"
@@ -353,6 +389,17 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             run([])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("threshold", ["-1", "0", "nan", "inf"])
+    def test_threshold_outside_zero_to_inf_is_usage_error(self, corpus_dir, tmp_path,
+                                                          threshold):
+        out = tmp_path / "out"
+        out.mkdir()
+        with pytest.raises(SystemExit) as exc:
+            run(["prep", "--index", corpus_dir / "index.tsv", "--pdb-dir", corpus_dir / "pdbs",
+                 "--out", out, f"--threshold={threshold}"])
+        assert exc.value.code == 1
+        assert list(out.iterdir()) == []
 
     def test_missing_data_is_data_error(self, tmp_path):
         assert run(["split", "--data", tmp_path / "nowhere",

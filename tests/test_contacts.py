@@ -81,6 +81,11 @@ class TestBuildContactMap:
         cmap = build_contact_map([(1.0, 2.0, 3.0)])
         assert cmap.n == 1 and cmap.pairs == ()
 
+    @pytest.mark.parametrize("threshold", [-8.0, 0.0, np.nan, np.inf])
+    def test_rejects_threshold_outside_zero_to_inf(self, threshold):
+        with pytest.raises(ValueError, match="threshold"):
+            build_contact_map([(0, 0, 0), (5, 0, 0)], threshold)
+
 
 class TestSerialization:
     def test_format_example(self):

@@ -159,6 +159,111 @@ class TestParseStructure:
             parse_structure(line + "\n", "C")
 
 
+def fuzzed_pdb_text(data):
+    """Mutated single-model PDB text, or arbitrary text."""
+    text = "\n".join([
+        "HEADER    FUZZ", atom_line(1), atom_line(2, "MSE", xyz=(-4.5, 5.0, 60.25)),
+        atom_line(3, chain="D", icode="B"), "HETATM" + atom_line(4)[6:],
+        atom_line(5, altloc="A"), atom_line(6), "ENDMDL", atom_line(7),
+    ]) + "\n"
+    if data.draw(st.integers(0, 3)):
+        pieces = ["x", "nan", "-inf", "1e999", "-", " ", "\n", "ENDMDL\n", "ATOM  ", "\t",
+                  "\r", "\u00e9", "\x00", " CA ", "\x85"]
+        for _ in range(2):  # up to six edits
+            text = mutate(text, data, " \n", 9, pieces)
+        return text
+    return data.draw(st.text(max_size=120))
+
+
+@st.composite
+def two_chain_texts(draw):
+    """Interleaved chains A and B with altlocs, non-CA atoms, HETATM records,
+    truncated lines, trailing blanks, bad coordinates and a second MODEL."""
+    lines = []
+    for _ in range(draw(st.integers(1, 14))):
+        kind = draw(st.sampled_from(["atom", "atom", "atom", "hetatm", "model", "cut",
+                                     "blanks", "bad"]))
+        line = atom_line(draw(st.integers(-1, 6)), draw(st.sampled_from(["ALA", "GLY", "MSE"])),
+                         chain=draw(st.sampled_from("AAB")),
+                         xyz=draw(st.sampled_from([(1.0, 2.0, 3.0), (-4.5, 0.0, 9.75)])),
+                         atom=draw(st.sampled_from([" CA ", " CA ", " CB ", "CA  "])),
+                         altloc=draw(st.sampled_from("  AB")), icode=draw(st.sampled_from("  X")))
+        if kind == "hetatm":
+            line = "HETATM" + line[6:]
+        elif kind == "model":
+            line = "ENDMDL\nMODEL        2"
+        elif kind == "cut":
+            line = line[:draw(st.integers(12, 53))]
+        elif kind == "blanks":
+            line += " " * draw(st.integers(1, 3))
+        elif kind == "bad":
+            line = line[:draw(st.integers(22, 46))] + draw(st.sampled_from(["x", "nan", " 1e999"]))
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def spec_parse_structure(pdb_text, chain_id, residue_range=None, pdb_id=""):
+    """parse_structure as one pass over every line: the oracle for its result
+    and for the class and message of every error it raises."""
+    if not pdb_text.strip():
+        raise EmptyInput("empty PDB text")
+    if len(chain_id) != 1:
+        raise ValueError(f"chain_id must be one character, got {chain_id!r}")
+
+    residues = []
+    seen = set()
+    for raw in pdb_text.splitlines():
+        record = raw[0:6].strip()
+        if record == "ENDMDL":
+            break
+        if record != "ATOM":
+            continue
+        line = raw.ljust(54)
+        if line[12:16].strip() != "CA":
+            continue
+        if line[16] not in (" ", "A"):
+            continue
+        if line[21] != chain_id:
+            continue
+        try:
+            seq_id = int(line[22:26])
+        except ValueError as exc:
+            raise MalformedLine(f"unparseable residue number: {raw!r}") from exc
+        if residue_range is not None:
+            start, end = residue_range
+            if not (start <= seq_id <= end):
+                continue
+        try:
+            x = float(line[30:38])
+            y = float(line[38:46])
+            z = float(line[46:54])
+        except ValueError as exc:
+            raise MalformedLine(f"unparseable coordinates: {raw!r}") from exc
+        if not all(np.isfinite(v) for v in (x, y, z)):
+            raise MalformedLine(f"non-finite coordinates: {raw!r}")
+        icode = line[26]
+        key = (seq_id, icode)
+        if key in seen:
+            continue
+        seen.add(key)
+        residues.append(Residue(seq_id, icode, line[17:20].strip(), (x, y, z)))
+
+    if not residues:
+        where = f"chain {chain_id!r}"
+        if residue_range is not None:
+            where += f" in range {residue_range}"
+        raise ChainNotFound(f"no CA ATOM record matches {where}")
+    return ChainStructure(pdb_id, chain_id, tuple(residues))
+
+
+def outcome(parse, *args):
+    """The parsed chain, or the class and message of the ValueError raised."""
+    try:
+        return parse(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
 class TestParseStructureFuzz:
     @given(data=st.data(), chain_id=st.sampled_from(["C", "C", "C", "D", " ", "", "CD"]),
            residue_range=st.none() | st.tuples(st.integers(-2, 6), st.integers(-2, 6)))
@@ -166,18 +271,7 @@ class TestParseStructureFuzz:
     def test_raises_only_documented_errors(self, data, chain_id, residue_range):
         """Mutated PDB text, or arbitrary text: a chain, a PdbParseError, or
         the ValueError for a chain id that is not one character."""
-        text = "\n".join([
-            "HEADER    FUZZ", atom_line(1), atom_line(2, "MSE", xyz=(-4.5, 5.0, 60.25)),
-            atom_line(3, chain="D", icode="B"), "HETATM" + atom_line(4)[6:],
-            atom_line(5, altloc="A"), atom_line(6), "ENDMDL", atom_line(7),
-        ]) + "\n"
-        if data.draw(st.integers(0, 3)):
-            pieces = ["x", "nan", "-inf", "1e999", "-", " ", "\n", "ENDMDL\n", "ATOM  ", "\t",
-                      "\r", "\u00e9", "\x00", " CA ", "\x85"]
-            for _ in range(2):  # up to six edits
-                text = mutate(text, data, " \n", 9, pieces)
-        else:
-            text = data.draw(st.text(max_size=120))
+        text = fuzzed_pdb_text(data)
         try:
             chain = parse_structure(text, chain_id, residue_range)
         except PdbParseError:
@@ -186,6 +280,26 @@ class TestParseStructureFuzz:
             assert len(chain_id) != 1 and "chain_id" in str(exc)
             return
         assert len(chain) >= 1 and np.isfinite(chain.ca_coordinates()).all()
+
+    @given(data=st.data(), chain_id=st.sampled_from(["A", "B", "C", "D", " ", "", "CD"]),
+           residue_range=st.none() | st.tuples(st.integers(-2, 6), st.integers(-2, 6)))
+    @settings(max_examples=400, deadline=None)
+    def test_same_chain_or_same_error_as_line_loop(self, data, chain_id, residue_range):
+        text = data.draw(two_chain_texts()) if data.draw(st.booleans()) else fuzzed_pdb_text(data)
+        assert (outcome(parse_structure, text, chain_id, residue_range, "fuzz")
+                == outcome(spec_parse_structure, text, chain_id, residue_range, "fuzz"))
+
+    @given(text=two_chain_texts())
+    @settings(max_examples=150, deadline=None)
+    def test_repeated_calls_on_one_text_match_fresh_calls(self, text):
+        """A, B, then A again on one text object, as prep does for the rows
+        that name one file, each equal a call on a fresh copy of the text."""
+        for chain_id in "ABA":
+            fresh = "".join(list(text))
+            assert fresh is not text
+            assert (outcome(parse_structure, text, chain_id)
+                    == outcome(parse_structure, fresh, chain_id)
+                    == outcome(spec_parse_structure, text, chain_id))
 
 
 class TestResiduesToSequence:
