@@ -17,9 +17,9 @@ of its input.
 Only Tensors are differentiated. The second operand of :func:`add` and
 :func:`mul` may be a plain number or array: it is a constant, cast to
 the first operand's dtype, never recorded as a parent, and given no
-gradient. A fully disallowed row of :func:`masked_softmax` or
-:func:`masked_attention` comes out as a row of zeros (padded queries
-rely on this).
+gradient. :func:`masked_softmax` and :func:`masked_attention` need each
+row to allow a key; the encoder's masks always allow the diagonal and
+disallow keys past a sequence's end. A row allowing none comes out NaN.
 
 Training runs in float32; gradient checking should run in float64 (see
 :func:`grad_check`), where every op is expected to agree with central
@@ -33,8 +33,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-
-MASK_FILL = -1e9  # additive large-negative used instead of -inf
 
 
 class ShapeMismatch(ValueError):
@@ -289,17 +287,12 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, train: bool
 def _masked_softmax_(s: np.ndarray, disallow: np.ndarray) -> np.ndarray:
     """Masked softmax over the last axis of s, computed in place; returns s.
 
-    Masking is additive MASK_FILL before normalization, then exact zeros
-    are forced, so a fully disallowed row comes out as a row of zeros.
+    Disallowed scores become -inf, so exp gives them exactly 0.
     """
-    disallow = np.asarray(disallow, dtype=bool)
-    np.copyto(s, MASK_FILL, where=disallow)
+    np.copyto(s, -np.inf, where=np.asarray(disallow, dtype=bool))
     s -= s.max(axis=-1, keepdims=True)
     np.exp(s, out=s)
-    np.copyto(s, 0.0, where=disallow)
-    denom = s.sum(axis=-1, keepdims=True)
-    denom[denom == 0.0] = 1.0
-    s /= denom
+    s /= s.sum(axis=-1, keepdims=True)
     return s
 
 
@@ -307,8 +300,8 @@ def masked_softmax(logits: Tensor, disallow: np.ndarray) -> Tensor:
     """Softmax over the last axis with hard-masked entries.
 
     Disallowed positions receive probability exactly 0; allowed positions
-    follow the softmax of their logits. Fully masked rows come out as
-    all-zero rows (padding queries rely on this).
+    follow the softmax of their logits. Each row must allow an entry (the
+    encoder's masks always allow the diagonal), or it comes out NaN.
     """
     p = _masked_softmax_(logits.data.copy(), disallow)
 
@@ -327,8 +320,8 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, disallow: np.ndarray,
     disallow (true = query may not attend key) broadcasts to (..., Lq, Lk).
     The forward pass builds the scores in one buffer and turns it into the
     attention weights in place; only the weights are kept for backward.
-    A fully disallowed query row gets zero weights, a zero output and a
-    zero gradient.
+    Each query must allow a key (the encoder's masks always allow the
+    diagonal and disallow keys past a sequence's end), or it comes out NaN.
     """
     if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
         raise ShapeMismatch(f"masked_attention: q {q.shape}, k {k.shape}, v {v.shape}")

@@ -90,6 +90,12 @@ def finite_positive_float(text: str) -> float:
     return float(text)
 
 
+def unit_fraction(text: str) -> float:
+    if not 0 <= float(text) <= 1:
+        raise argparse.ArgumentTypeError(f"must be a number in [0, 1], got {text!r}")
+    return float(text)
+
+
 def cmd_prep(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -268,8 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split", help="stratified train/val/test split")
     p.add_argument("--data", required=True, help="prep output directory")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--train-frac", type=float, default=0.7)
-    p.add_argument("--val-frac", type=float, default=0.5,
+    p.add_argument("--train-frac", type=unit_fraction, default=0.7)
+    p.add_argument("--val-frac", type=unit_fraction, default=0.5,
                    help="validation fraction of the non-train remainder")
     p.add_argument("--out", required=True, help="manifest JSON path")
     p.set_defaults(func=cmd_split)

@@ -4,16 +4,15 @@ Residues map to token ids 1..20 in alphabetical order of their 1-letter
 codes; 0 is the padding index. A batch carries three aligned pieces per
 sample (the model's input contract): the padded token row, the
 key-padding mask (true = pad), and an L x L attention mask derived from
-the contact map (true = query i may NOT attend key j). The diagonal of
-every valid position is always attendable, so no live query row is ever
-fully masked.
+the contact map (true = query i may NOT attend key j). The diagonal is
+always attendable and pad keys are disallowed, so no query row is fully masked.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -143,6 +142,8 @@ def stratified_split(
     """
     if not entries:
         raise EmptyDataset("cannot split an empty dataset")
+    if not (0 <= train_frac <= 1 and 0 <= val_frac_of_rest <= 1):
+        raise ValueError(f"split fractions must lie in [0, 1]: {train_frac!r}, {val_frac_of_rest!r}")
     by_class: dict[int, list[str]] = {}
     for e in entries:
         by_class.setdefault(e.label, []).append(e.id)
@@ -208,8 +209,8 @@ def batch_encode(
     the matching leading square of their contact map. In "contact" mode
     the attention mask is the negated contact map inside each sample's
     valid square; in "full" mode that square is all-false (sequence-only
-    attention). Padded rows and columns stay all-true, so the attention
-    mask alone keeps padded keys out of every query's softmax.
+    attention). Everywhere the diagonal is attendable and pad keys are
+    disallowed, so a pad query attends only itself and no valid query sees it.
     """
     if not entries:
         raise EmptyDataset("cannot encode an empty batch")
@@ -221,6 +222,7 @@ def batch_encode(
     tokens = np.zeros((b, l), dtype=np.int64)
     key_pad = np.ones((b, l), dtype=bool)
     attn = np.ones((b, l, l), dtype=bool)
+    attn[:, np.arange(l), np.arange(l)] = False
     contact = attention_mode == "contact"
     for bi, (e, toks) in enumerate(zip(entries, rows)):
         n = len(toks)
@@ -297,14 +299,14 @@ def entry_to_line(entry: Entry) -> str:
 
 
 def entry_from_line(line: str) -> Entry:
-    """Inverse of :func:`entry_to_line`; ValueError naming the entry if its
-    pair field is malformed (see :func:`deserialize_contacts`)."""
-    entry_id, label, sequence, field = line.rstrip("\n").split("\t")
+    """Inverse of :func:`entry_to_line`; ValueError naming the entry if the line is
+    malformed (the pair field: see :func:`deserialize_contacts`)."""
+    fields = line.rstrip("\n").split("\t")
     try:
-        cmap = deserialize_contacts(field, len(sequence))
+        entry_id, label, sequence, pairs = fields
+        return Entry(entry_id, sequence, deserialize_contacts(pairs, len(sequence)), int(label))
     except ValueError as exc:
-        raise ValueError(f"entry {entry_id!r}: {exc}") from None
-    return Entry(entry_id, sequence, cmap, int(label))
+        raise ValueError(f"entry {fields[0]!r}: {exc}") from None
 
 
 def save_entries(path, entries: list[Entry]) -> None:

@@ -5,7 +5,7 @@ encoding, a stack of post-norm encoder layers (multi-head self-attention,
 then a ReLU feed-forward block, each wrapped in dropout + residual +
 layer norm), masked-mean pooling over non-pad positions, and a linear
 classifier head. One per-pair attention mask (true = may not attend)
-decides which keys each query sees; padded keys are disallowed in it.
+decides which keys each query sees: the diagonal always, pad keys never.
 """
 
 from __future__ import annotations
@@ -130,10 +130,8 @@ def multi_head_attention(
     """Masked multi-head self-attention over x of shape (B, L, d); n_heads divides d.
 
     attn_mask is (B, L, L) boolean, true = query i may NOT attend key j;
-    a disallowed key gets attention weight exactly 0. Padded keys must be
-    disallowed (batch_encode marks every padded row and column). Fully
-    masked (padded) query rows produce zero context vectors; valid rows
-    always keep at least their diagonal, so their weights sum to 1.
+    a disallowed key gets attention weight exactly 0. Like batch_encode's
+    masks, it must always allow the diagonal and disallow pad keys.
     """
     b, l, d = x.shape
     dh = d // n_heads

@@ -195,7 +195,7 @@ def train(
             total_wnll += loss_value * w_batch
             total_w += w_batch
 
-        train_loss = total_wnll / total_w if total_w > 0 else float("nan")
+        train_loss = total_wnll / total_w
         val_loss, val_acc = _eval_loss(val_entries, model_config, params,
                                        weights, cfg.batch_size)
         result.history.append(EpochRecord(epoch, train_loss, val_loss, val_acc))

@@ -189,16 +189,6 @@ class TestMaskedSoftmax:
         assert np.allclose(p.data, [e / (e + 1), 1 / (e + 1)], atol=1e-12)
         assert abs(p.data[0] - 0.7310585786300049) < 1e-12
 
-    def test_allow_empty_gives_zero_rows(self):
-        # a fully disallowed row is a zero row, with a zero gradient
-        x = t64([[1.0, 2.0], [1.0, 2.0]])
-        disallow = np.array([[True, True], [False, True]])
-        p = ad.masked_softmax(x, disallow)
-        assert np.array_equal(p.data[0], [0.0, 0.0])
-        assert np.allclose(p.data[1], [1.0, 0.0])
-        to_scalar(p).backward()
-        assert np.array_equal(x.grad[0], [0.0, 0.0])
-
     def test_rows_sum_to_one_with_exact_zeros(self):
         rng = np.random.default_rng(0)
         logits = t64(rng.standard_normal((50, 9)) * 5)
@@ -215,6 +205,59 @@ class TestMaskedSoftmax:
         assert x.grad[0, 1] == 0.0
 
 
+def old_masked_softmax_(s, disallow):
+    """The kernel from before every row had to allow a key: fill with -1e9,
+    zero the disallowed entries after exp, divide a zero row by 1."""
+    disallow = np.asarray(disallow, dtype=bool)
+    np.copyto(s, -1e9, where=disallow)
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    np.copyto(s, 0.0, where=disallow)
+    denom = s.sum(axis=-1, keepdims=True)
+    denom[denom == 0.0] = 1.0
+    s /= denom
+    return s
+
+
+class TestMaskedSoftmaxOracle:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("scale", [1.0, 100.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bit_identical_to_old_kernel(self, monkeypatch, dtype, scale, seed):
+        """On rows that allow at least one key, the -inf kernel gives the old
+        kernel's outputs and gradients bit for bit."""
+        rng = np.random.default_rng([20, seed])
+        b, h, l, dh = 2, 3, 11, 4
+        q, k, v, g = (rng.standard_normal((b, h, l, dh)).astype(dtype) for _ in range(4))
+        disallow = rng.random((b, 1, l, l)) < rng.uniform(0.2, 0.95)
+        disallow[..., np.arange(l), rng.integers(0, l, size=l)] = False  # one key per row
+        scores = (q @ np.swapaxes(k, -1, -2)) * dtype(scale)
+        g_scores = rng.standard_normal(scores.shape).astype(dtype)
+
+        def run():
+            leaves = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+            out = ad.masked_attention(*leaves, disallow, scale / math.sqrt(dh))
+            out.backward(g)
+            logits = Tensor(scores, requires_grad=True)
+            p = ad.masked_softmax(logits, disallow)
+            p.backward(g_scores)
+            kernel = ad._masked_softmax_(scores.copy(), disallow)
+            return [out.data, *(t.grad for t in leaves), p.data, logits.grad, kernel]
+
+        new = run()
+        monkeypatch.setattr(ad, "_masked_softmax_", old_masked_softmax_)
+        for ours, old in zip(new, run(), strict=True):
+            assert ours.dtype == dtype
+            assert np.array_equal(ours, old)
+
+    def test_row_that_allows_no_key_is_nan(self):
+        with np.errstate(invalid="ignore"):
+            p = ad.masked_softmax(t64([[1.0, 2.0], [1.0, 2.0]]),
+                                  np.array([[True, True], [False, True]]))
+        assert np.isnan(p.data[0]).all()
+        assert np.array_equal(p.data[1], [1.0, 0.0])
+
+
 class TestMaskedAttention:
     @staticmethod
     def composite(q, k, v, disallow, scale):
@@ -226,14 +269,14 @@ class TestMaskedAttention:
         rng = np.random.default_rng(15)
         q, k, v = rand64(rng, 2, 2, 5, 3), rand64(rng, 2, 2, 5, 3), rand64(rng, 2, 2, 5, 4)
         disallow = rng.random((2, 1, 5, 5)) < 0.4
+        disallow[1, 0, 3, :] = True  # a padded query row: it attends only itself
         disallow[:, :, np.arange(5), np.arange(5)] = False  # every query keeps itself
-        disallow[1, 0, 3, :] = True  # a padded query row
         err = ad.grad_check(lambda: to_scalar(ad.masked_attention(q, k, v, disallow, 0.5)),
                             [q, k, v])
         assert err < GRAD_TOL
 
         out = ad.masked_attention(q, k, v, disallow, 0.5)
-        assert (out.data[1, :, 3] == 0.0).all()
+        assert np.array_equal(out.data[1, :, 3], v.data[1, :, 3])
         for t in (q, k, v):
             t.zero_grad()
         to_scalar(out).backward()
@@ -250,8 +293,8 @@ class TestMaskedAttention:
 
         q, k, v = heads(), heads(), heads()
         disallow = rng.random((b, 1, l, l)) < 0.5
-        disallow[:, :, np.arange(l), np.arange(l)] = False
         disallow[0, :, -2:, :] = disallow[0, :, :, -2:] = True  # two padded positions
+        disallow[:, :, np.arange(l), np.arange(l)] = False  # ... that keep their diagonal
         g = rng.standard_normal((b, h, l, dh)).astype(np.float32)
         scale = 1.0 / math.sqrt(dh)
 

@@ -401,6 +401,16 @@ class TestExitCodes:
         assert exc.value.code == 1
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("flag", ["--train-frac", "--val-frac"])
+    @pytest.mark.parametrize("value", ["-1", "1.5", "nan"])
+    def test_split_fraction_outside_unit_interval_is_usage_error(self, pipeline_dir, tmp_path,
+                                                                 flag, value):
+        manifest = tmp_path / "manifest.json"
+        with pytest.raises(SystemExit) as exc:
+            run(["split", "--data", pipeline_dir, "--out", manifest, f"{flag}={value}"])
+        assert exc.value.code == 1
+        assert not manifest.exists()
+
     def test_missing_data_is_data_error(self, tmp_path):
         assert run(["split", "--data", tmp_path / "nowhere",
                     "--out", tmp_path / "m.json"]) == 2

@@ -108,6 +108,20 @@ class TestStratifiedSplit:
         manifest = stratified_split(dummy_entries([10, 2, 5]), seed=9)
         assert SplitManifest.from_json(manifest.to_json()) == manifest
 
+    @pytest.mark.parametrize("frac", [-1.0, 1.5, float("nan")])
+    @pytest.mark.parametrize("arg", ["train_frac", "val_frac_of_rest"])
+    def test_fraction_outside_unit_interval_rejected(self, arg, frac):
+        # a negative fraction used to put entries in both train and test
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            stratified_split(dummy_entries([10, 4]), seed=1, **{arg: frac})
+
+    @pytest.mark.parametrize("train_frac, val_frac", [(0.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+    def test_unit_interval_bounds_accepted(self, train_frac, val_frac):
+        entries = dummy_entries([10, 4])
+        manifest = stratified_split(entries, train_frac, val_frac, seed=1)
+        combined = manifest.ids["train"] + manifest.ids["val"] + manifest.ids["test"]
+        assert sorted(combined) == sorted(e.id for e in entries)
+
 
 class TestClassWeights:
     def test_uneven_counts(self):
@@ -174,9 +188,12 @@ class TestBatchEncode:
         batch = batch_encode([entry("a", "AC"), entry("b", "ACD")],
                              attention_mode="full")
         assert not batch.attention_masks[1].any()
-        assert not batch.attention_masks[0, :2, :2].any()
-        assert batch.attention_masks[0, 2:, :].all()
-        assert batch.attention_masks[0, :, 2:].all()
+        mask = batch.attention_masks[0]
+        assert not mask[:2, :2].any()
+        assert not mask.diagonal().any()  # the pad slot attends itself ...
+        off_diagonal = ~np.eye(3, dtype=bool)
+        assert (mask[2:] == off_diagonal[2:]).all()  # ... and nothing else
+        assert (mask[:, 2:] == off_diagonal[:, 2:]).all()
 
     def test_every_valid_query_row_has_an_attendable_key(self):
         rng = np.random.default_rng(0)
@@ -199,7 +216,8 @@ class TestBatchEncode:
            seed=st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=150, deadline=None)
     def test_padded_rows_and_columns_are_disallowed(self, lengths, max_len, mode, seed):
-        # attention reads only attention_masks, so padding must be masked there
+        # attention reads only attention_masks, so padding must be masked there;
+        # the diagonal stays attendable, so no query row is fully masked
         rng = np.random.default_rng(seed)
         entries = []
         for k, n in enumerate(lengths):
@@ -207,12 +225,15 @@ class TestBatchEncode:
             pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
             entries.append(entry(f"e{k}", seq, pairs))
         batch = batch_encode(entries, max_len=max_len, attention_mode=mode)
+        masks, key_pad = batch.attention_masks, batch.key_padding_mask
+        l = masks.shape[1]
+        assert not masks[:, np.arange(l), np.arange(l)].any()
+        off_diagonal = ~np.eye(l, dtype=bool)
         for b, length in enumerate(lengths):
             n = min(length, max_len)
-            assert batch.attention_masks[b, :, n:].all()
-            assert batch.attention_masks[b, n:, :].all()
-        assert (batch.attention_masks | batch.key_padding_mask[:, None, :]
-                == batch.attention_masks).all()
+            assert (masks[b, :, n:] == off_diagonal[:, n:]).all()
+            assert (masks[b, n:, :] == off_diagonal[n:, :]).all()
+        assert masks[~key_pad[:, :, None] & key_pad[:, None, :]].all()  # valid query, pad key
 
     def test_empty_batch(self):
         with pytest.raises(EmptyDataset):
@@ -294,6 +315,15 @@ class TestEntryLineOracle:
             old_entry_from_line(f"e\t0\tACDE\t{field}\n")
         with pytest.raises(ValueError):
             deserialize_contacts(field, 4)
+
+    @pytest.mark.parametrize("line", [
+        "e\tx\tACDE\t0-1\n", "e\t0\tACDE\n", "e\t0\tACDE\t0-1\textra\n",
+    ])
+    def test_malformed_label_or_field_count_rejected(self, line):
+        with pytest.raises(ValueError, match="entry 'e'"):
+            entry_from_line(line)
+        with pytest.raises(ValueError):
+            old_entry_from_line(line)
 
 
 # Index bytes: arbitrary, or rows of tab-separated fields drawn from

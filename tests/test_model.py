@@ -46,13 +46,15 @@ def random_entries(rng, n, length_range=(3, 10), n_classes=4, contact_prob=0.3):
 
 
 def pad_batch(batch: EncodedBatch, extra: int) -> EncodedBatch:
-    """Widen a batch by `extra` pad columns (tokens 0, masks true)."""
+    """Widen a batch by `extra` pad slots (tokens 0, masks true but for the
+    diagonal, as batch_encode pads)."""
     b, l = batch.tokens.shape
     tokens = np.zeros((b, l + extra), dtype=batch.tokens.dtype)
     tokens[:, :l] = batch.tokens
     key_pad = np.ones((b, l + extra), dtype=bool)
     key_pad[:, :l] = batch.key_padding_mask
     attn = np.ones((b, l + extra, l + extra), dtype=bool)
+    attn[:, np.arange(l + extra), np.arange(l + extra)] = False
     attn[:, :l, :l] = batch.attention_masks
     return EncodedBatch(tokens, key_pad, attn, batch.labels)
 
@@ -182,14 +184,15 @@ class TestMultiHeadAttention:
                              prefix="layers.0.attn")
         (weights,) = captured
         lengths = (~batch.key_padding_mask).sum(axis=1)
+        eye = np.eye(weights.shape[-1], dtype=weights.dtype)
         for bi, n in enumerate(lengths):
             valid = weights[bi, :, :n, :]
             assert np.allclose(valid.sum(axis=-1), 1.0, atol=1e-6)
-            disallow = (batch.attention_masks[bi][None, :, :]
-                        | batch.key_padding_mask[bi][None, None, :])
+            disallow = batch.attention_masks[bi][None, :, :]
             assert (weights[bi][np.broadcast_to(disallow, weights[bi].shape)] == 0).all()
-            # padded keys receive zero attention from every query
-            assert (weights[bi, :, :, n:] == 0).all()
+            # valid queries give pad keys zero weight; a pad query attends only itself
+            assert (valid[:, :, n:] == 0).all()
+            assert (weights[bi, :, n:, :] == eye[n:]).all()
 
 
 class TestEncoderForward:
