@@ -1,0 +1,71 @@
+#!/usr/bin/env python3
+"""One training step of the default encoder at the paper's batch shape.
+
+Draws --batch-size protein-like chains of 30-500 residues with the
+benchmark's generator (perfbench/gen.py, seed 1, 16 structural
+families) and runs one step of the default encoder (d=256, 8 heads,
+5 layers, contact mode, dropout 0.1): batch_encode, a train-mode
+forward pass, weighted cross-entropy, backward and an Adam update.
+Prints the step's time and the process's peak RSS (ru_maxrss). The
+defaults, batch 64 and max_len 512, are the paper's configuration.
+
+    python3 scripts/paper_step.py [--batch-size 64] [--max-len 512]
+"""
+
+from __future__ import annotations
+
+import argparse
+import resource
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import numpy as np
+
+import gen
+from contactformer import autodiff as ad
+from contactformer.cli import positive_int
+from contactformer.contacts import ContactMap
+from contactformer.data import Entry, batch_encode, compute_class_weights
+from contactformer.model import ModelConfig, encoder_forward, init_params
+from contactformer.optim import AdamState, adam_step
+
+FAMILIES = 16
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--batch-size", type=positive_int, default=64)
+    parser.add_argument("--max-len", type=positive_int, default=512)
+    args = parser.parse_args()
+
+    chains = gen.train_long_inputs(1, args.batch_size, 0, 0, FAMILIES).train
+    entries = [Entry(c.entry_id, c.sequence, ContactMap(len(c.sequence), tuple(c.pairs)), c.label)
+               for c in chains]
+    config = ModelConfig(n_classes=FAMILIES, max_len=args.max_len)
+    params = init_params(config, np.random.default_rng(0))
+    weights = compute_class_weights([e.label for e in entries], FAMILIES)
+
+    started = time.perf_counter()
+    batch = batch_encode(entries, config.max_len, config.attention_mode)
+    logits, _ = encoder_forward(batch, config, params, train_mode=True,
+                                rng=np.random.default_rng(1))
+    loss = ad.weighted_cross_entropy(logits, batch.labels, weights)
+    forward_s = time.perf_counter() - started
+    loss.backward()
+    adam_step(params, AdamState(), lr=1e-4)
+    step_s = time.perf_counter() - started
+
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    real = int((~batch.key_padding_mask).sum())
+    print(f"batch {args.batch_size}, max_len {args.max_len}: {real} real tokens of "
+          f"{batch.tokens.size} slots; loss {loss.item():.4f}")
+    print(f"step {step_s:.2f} s (forward {forward_s:.2f} s), peak RSS {peak_mb:.0f} MB")
+    return 0 if np.isfinite(loss.item()) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,25 +1,27 @@
 """Minimal reverse-mode autodiff on dense numpy arrays.
 
 Exactly the operator set the encoder needs: matmul / linear, embedding
-lookup, layer norm, ReLU, inverted dropout, residual add, masked
-attention, masked mean, and weighted cross-entropy, plus masked softmax
-on its own. Each op records a backward closure on the output tensor;
-``Tensor.backward()`` replays them in reverse topological order and
-accumulates into ``.grad`` buffers.
+lookup, layer norm, ReLU, inverted dropout, residual add, packed masked
+attention, scatter, masked mean, and weighted cross-entropy, plus masked
+softmax on its own. Each op records a backward closure on the output
+tensor; ``Tensor.backward()`` replays them in reverse topological order
+and accumulates into ``.grad`` buffers.
 
 :func:`masked_attention` is the encoder's whole scaled, contact-masked
-attention (scores, masked softmax, weighted sum of values) as one node.
-Its forward pass keeps a single (..., L, L) buffer, the attention
-weights, and its backward pass derives the q, k and v gradients from
-them; :func:`masked_softmax` runs the same in-place softmax on a copy
-of its input.
+attention (scores, masked softmax, weighted sum of values) as one node,
+over packed (T, H, dh) rows: several sequences laid end to end, in
+groups of equal length. Per group it keeps one (count, H, n, n) buffer,
+the attention weights, and its backward pass derives the q, k and v
+gradients from them; :func:`masked_softmax` runs the same in-place
+softmax on a copy of its input. :func:`scatter` puts packed rows back
+into a padded array for pooling.
 
 Only Tensors are differentiated. The second operand of :func:`add` and
 :func:`mul` may be a plain number or array: it is a constant, cast to
 the first operand's dtype, never recorded as a parent, and given no
 gradient. :func:`masked_softmax` and :func:`masked_attention` need each
-row to allow a key; the encoder's masks always allow the diagonal and
-disallow keys past a sequence's end. A row allowing none comes out NaN.
+row to allow a key; the encoder's masks always allow the diagonal. A row
+allowing none comes out NaN.
 
 Training runs in float32; gradient checking should run in float64 (see
 :func:`grad_check`), where every op is expected to agree with central
@@ -312,36 +314,49 @@ def masked_softmax(logits: Tensor, disallow: np.ndarray) -> Tensor:
     return _make(p, (logits,), backward)
 
 
-def masked_attention(q: Tensor, k: Tensor, v: Tensor, disallow: np.ndarray,
+def masked_attention(q: Tensor, k: Tensor, v: Tensor, groups: Sequence[tuple],
                      scale: float) -> Tensor:
-    """softmax(scale * q @ k^T, masked by disallow) @ v as one graph node.
+    """softmax(scale * q @ k^T, masked) @ v within each packed sequence, as one node.
 
-    q, k are (..., Lq, dh) and (..., Lk, dh), v is (..., Lk, dv), and
-    disallow (true = query may not attend key) broadcasts to (..., Lq, Lk).
-    The forward pass builds the scores in one buffer and turns it into the
-    attention weights in place; only the weights are kept for backward.
-    Each query must allow a key (the encoder's masks always allow the
-    diagonal and disallow keys past a sequence's end), or it comes out NaN.
+    q, k and v are (T, H, dh) rows of sequences laid end to end. A group
+    (start, count, n, disallow) is count sequences of length n in rows
+    start to start + count * n, viewed as (count, H, n, dh); disallow
+    (count, n, n) is true where a query may not attend a key. Rows in no
+    group come out 0. Per group the scores are built in one buffer and
+    turned into the attention weights in place; only the weights are kept
+    for backward. Each query must allow a key (the encoder's masks always
+    allow the diagonal), or it comes out NaN.
     """
-    if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
+    if q.data.ndim != 3 or k.shape != q.shape or v.shape[:2] != q.shape[:2]:
         raise ShapeMismatch(f"masked_attention: q {q.shape}, k {k.shape}, v {v.shape}")
     c = np.asarray(scale, dtype=q.data.dtype)
-    p = q.data @ np.swapaxes(k.data, -1, -2)
-    p *= c
-    _masked_softmax_(p, disallow)
+
+    def heads(a: np.ndarray, start: int, count: int, n: int) -> np.ndarray:
+        return a[start:start + count * n].reshape(count, n, *a.shape[1:]).transpose(0, 2, 1, 3)
+
+    out = np.zeros_like(v.data)
+    weights = []
+    for start, count, n, disallow in groups:
+        p = heads(q.data, start, count, n) @ np.swapaxes(heads(k.data, start, count, n), -1, -2)
+        p *= c
+        _masked_softmax_(p, disallow[:, None])
+        heads(out, start, count, n)[...] = p @ heads(v.data, start, count, n)
+        weights.append(p)
 
     def backward(g):
-        gs = g @ np.swapaxes(v.data, -1, -2)
-        gs -= (gs * p).sum(axis=-1, keepdims=True)
-        gs *= p
-        gs *= c
-        return (
-            (q, gs @ k.data),
-            (k, np.swapaxes(np.swapaxes(q.data, -1, -2) @ gs, -1, -2)),
-            (v, np.swapaxes(p, -1, -2) @ g),
-        )
+        gq, gk, gv = np.zeros_like(q.data), np.zeros_like(k.data), np.zeros_like(v.data)
+        for (start, count, n, _), p in zip(groups, weights):
+            qg, kg, gg = (heads(a, start, count, n) for a in (q.data, k.data, g))
+            gs = gg @ np.swapaxes(heads(v.data, start, count, n), -1, -2)
+            gs -= (gs * p).sum(axis=-1, keepdims=True)
+            gs *= p
+            gs *= c
+            heads(gq, start, count, n)[...] = gs @ kg
+            heads(gk, start, count, n)[...] = np.swapaxes(np.swapaxes(qg, -1, -2) @ gs, -1, -2)
+            heads(gv, start, count, n)[...] = np.swapaxes(p, -1, -2) @ gg
+        return ((q, gq), (k, gk), (v, gv))
 
-    return _make(p @ v.data, (q, k, v), backward)
+    return _make(out, (q, k, v), backward)
 
 
 def weighted_cross_entropy(logits: Tensor, labels: np.ndarray, class_weights: np.ndarray) -> Tensor:
@@ -388,6 +403,17 @@ def masked_mean(x: Tensor, keep: np.ndarray) -> Tensor:
     def backward(g):
         gx = kf[:, :, None] * (g / counts[:, None])[:, None, :]
         return ((x, gx),)
+
+    return _make(out, (x,), backward)
+
+
+def scatter(x: Tensor, index: tuple[np.ndarray, ...], shape: Sequence[int]) -> Tensor:
+    """Rows of x (T, D) placed at `index` in a zero array of shape + (D,); backward gathers."""
+    out = np.zeros((*shape, x.shape[-1]), dtype=x.data.dtype)
+    out[index] = x.data
+
+    def backward(g):
+        return ((x, g[index]),)
 
     return _make(out, (x,), backward)
 

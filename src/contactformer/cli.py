@@ -90,6 +90,12 @@ def finite_positive_float(text: str) -> float:
     return float(text)
 
 
+def positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def unit_fraction(text: str) -> float:
     if not 0 <= float(text) <= 1:
         raise argparse.ArgumentTypeError(f"must be a number in [0, 1], got {text!r}")
@@ -268,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pdb-dir", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--threshold", type=finite_positive_float, default=8.0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=positive_int, default=1)
     p.set_defaults(func=cmd_prep)
 
     p = sub.add_parser("split", help="stratified train/val/test split")
@@ -287,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", default=None, help="epoch CSV (default: <checkpoint>.log.csv)")
     _add_model_flags(p)
     p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--batch-size", type=int, default=64)
+    p.add_argument("--batch-size", type=positive_int, default=64)
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--patience", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
@@ -299,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", choices=("train", "val", "test"), default="test")
-    p.add_argument("--batch-size", type=int, default=64)
+    p.add_argument("--batch-size", type=positive_int, default=64)
     p.add_argument("--out", default=None, help="JSON report path")
     p.add_argument("--text", default=None, help="flat text report path")
     p.set_defaults(func=cmd_evaluate)
@@ -309,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", default=None)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", choices=("train", "val", "test", "all"), default="all")
-    p.add_argument("--batch-size", type=int, default=64)
+    p.add_argument("--batch-size", type=positive_int, default=64)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_embed)
     return parser

@@ -6,6 +6,10 @@ then a ReLU feed-forward block, each wrapped in dropout + residual +
 layer norm), masked-mean pooling over non-pad positions, and a linear
 classifier head. One per-pair attention mask (true = may not attend)
 decides which keys each query sees: the diagonal always, pad keys never.
+
+Everything between the embedding and the pooling runs on the batch's T
+real tokens, packed into (T, d) by pack(), with one attention call per
+group of equal-length sequences; pooling scatters them back to (B, L, d).
 """
 
 from __future__ import annotations
@@ -120,52 +124,64 @@ def count_parameters(config: ModelConfig) -> int:
     return sum(math.prod(shape) for shape in param_shapes(config).values())
 
 
+def pack(batch) -> tuple[tuple[np.ndarray, np.ndarray], list]:
+    """Where an EncodedBatch's T real tokens go in the packed (T, d) stream.
+
+    Sequences are ordered stably by length and their real tokens laid end
+    to end, so each group of equal-length sequences is one contiguous
+    slice. Returns (index, groups): packed token t is batch row index[0][t],
+    position index[1][t]; groups lists (start, count, n, disallow) per
+    length, shortest first, where disallow holds the leading (n, n) blocks
+    of the group's attention masks, as ad.masked_attention takes them.
+    """
+    lengths = (~batch.key_padding_mask).sum(axis=1)
+    order = np.argsort(lengths, kind="stable")
+    sorted_lengths = lengths[order]
+    rows = np.repeat(order, sorted_lengths)
+    starts = np.cumsum(sorted_lengths) - sorted_lengths
+    cols = np.arange(rows.size) - np.repeat(starts, sorted_lengths)
+    values, firsts, counts = np.unique(sorted_lengths, return_index=True, return_counts=True)
+    groups = [(int(starts[i]), int(c), int(n), batch.attention_masks[order[i:i + c], :n, :n])
+              for n, i, c in zip(values, firsts, counts) if n > 0]
+    return (rows, cols), groups
+
+
 def multi_head_attention(
     x: Tensor,
-    attn_mask: np.ndarray,
+    groups: list,
     params: dict[str, Parameter],
     n_heads: int,
     prefix: str = "attn",
 ) -> Tensor:
-    """Masked multi-head self-attention over x of shape (B, L, d); n_heads divides d.
+    """Masked multi-head self-attention over packed states x (T, d); n_heads divides d.
 
-    attn_mask is (B, L, L) boolean, true = query i may NOT attend key j;
-    a disallowed key gets attention weight exactly 0. Like batch_encode's
-    masks, it must always allow the diagonal and disallow pad keys.
+    groups is pack's: each sequence attends within itself only,
+    and a key its disallow block marks true gets attention weight exactly 0.
     """
-    b, l, d = x.shape
+    t, d = x.shape
     dh = d // n_heads
 
-    def proj(name: str) -> Tensor:
-        return ad.linear(x, params[f"{prefix}.{name}.weight"].tensor,
-                         params[f"{prefix}.{name}.bias"].tensor)
+    def heads(name: str) -> Tensor:
+        return ad.reshape(ad.linear(x, params[f"{prefix}.{name}.weight"].tensor,
+                                    params[f"{prefix}.{name}.bias"].tensor), (t, n_heads, dh))
 
-    def split_heads(t: Tensor) -> Tensor:
-        return ad.transpose(ad.reshape(t, (b, l, n_heads, dh)), (0, 2, 1, 3))
-
-    q = split_heads(proj("q"))
-    k = split_heads(proj("k"))
-    v = split_heads(proj("v"))
-
-    heads = ad.masked_attention(q, k, v, attn_mask[:, None], 1.0 / math.sqrt(dh))
-    ctx = ad.reshape(ad.transpose(heads, (0, 2, 1, 3)), (b, l, d))
-    return ad.linear(ctx, params[f"{prefix}.out.weight"].tensor,
+    ctx = ad.masked_attention(heads("q"), heads("k"), heads("v"), groups, 1.0 / math.sqrt(dh))
+    return ad.linear(ad.reshape(ctx, (t, d)), params[f"{prefix}.out.weight"].tensor,
                      params[f"{prefix}.out.bias"].tensor)
 
 
 def encoder_layers_forward(
     x: Tensor,
-    attn_mask: np.ndarray,
+    groups: list,
     config: ModelConfig,
     params: dict[str, Parameter],
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Run the post-norm layer stack on prepared states x (B, L, d)."""
+    """Run the post-norm layer stack on packed states x (T, d) with pack's groups."""
     for i in range(config.n_layers):
         pre = f"layers.{i}"
-        attn = multi_head_attention(x, attn_mask, params, config.n_heads,
-                                    prefix=f"{pre}.attn")
+        attn = multi_head_attention(x, groups, params, config.n_heads, prefix=f"{pre}.attn")
         x = ad.layer_norm(ad.add(x, ad.dropout(attn, config.dropout, rng, train_mode)),
                           params[f"{pre}.ln1.scale"].tensor, params[f"{pre}.ln1.shift"].tensor)
         hidden = ad.relu(ad.linear(x, params[f"{pre}.ffn.w1.weight"].tensor,
@@ -186,9 +202,11 @@ def encoder_forward(
 ) -> tuple[Tensor, Tensor]:
     """Full forward pass over an EncodedBatch.
 
-    Returns (logits (B, C), pooled (B, d)). Pooling is the mean of the
-    last layer's states over non-pad positions. Dropout is active only in
-    train_mode (eval passes are deterministic).
+    Returns (logits (B, C), pooled (B, d)), in batch order. Everything
+    between the embedding and the pooling runs on the batch's packed real
+    tokens (see pack); the last layer's states are then scattered back to
+    (B, L, d) and pooled as the mean over non-pad positions. Dropout is
+    active only in train_mode (eval passes are deterministic).
     """
     tokens = batch.tokens
     b, l = tokens.shape
@@ -197,14 +215,16 @@ def encoder_forward(
     if {name: p.tensor.shape for name, p in params.items()} != param_shapes(config):
         raise ConfigMismatch("params do not match the parameter layout of the config")
 
+    index, groups = pack(batch)
     embed = params["embed.weight"].tensor
-    x = ad.mul(ad.embedding(embed, tokens), math.sqrt(config.embed_dim))
+    x = ad.mul(ad.embedding(embed, tokens[index]), math.sqrt(config.embed_dim))
     if config.use_positional:
-        x = ad.add(x, positional_encoding(l, config.embed_dim, dtype=embed.data.dtype))
+        x = ad.add(x, positional_encoding(l, config.embed_dim, dtype=embed.data.dtype)[index[1]])
     x = ad.dropout(x, config.dropout, rng, train_mode)
 
-    x = encoder_layers_forward(x, batch.attention_masks, config, params, train_mode, rng)
-    pooled = ad.masked_mean(x, ~batch.key_padding_mask)
+    x = encoder_layers_forward(x, groups, config, params, train_mode, rng)
+    states = ad.scatter(x, index, (b, l))
+    pooled = ad.masked_mean(states, ~batch.key_padding_mask)
     logits = ad.linear(pooled, params["classifier.weight"].tensor,
                        params["classifier.bias"].tensor)
     return logits, pooled

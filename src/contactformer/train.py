@@ -78,10 +78,12 @@ def predict(entries: list[Entry], config: ModelConfig, params: dict, batch_size:
     """Eval-mode forward pass over entries, in order, one batch at a time.
 
     Yields (labels (b,), logits (b, C) as float64, pooled (b, d)) per batch.
-    Raises ValueError on an empty entry list.
+    Raises ValueError on an empty entry list or a batch_size below 1.
     """
     if not entries:
         raise ValueError("cannot predict on an empty entry list")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     for sel in _batches(len(entries), batch_size):
         batch = batch_encode([entries[i] for i in sel], config.max_len,
                              config.attention_mode)

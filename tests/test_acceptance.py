@@ -29,6 +29,7 @@ from contactformer.model import (
     encoder_layers_forward,
     init_params,
     load_checkpoint,
+    pack,
     save_checkpoint,
 )
 from contactformer.synthetic import overfit_dataset, topology_dataset
@@ -71,17 +72,16 @@ def test_mask_locality():
                       if rng.random() < 0.35)
         cmap = ContactMap(n, pairs)
         entry = Entry("loc", "A" * n, cmap, 0)
-        batch = batch_encode([entry])
+        _, groups = pack(batch_encode([entry]))
         dense = cmap.dense()
 
-        x = rng.standard_normal((1, n, cfg.embed_dim))
-        base = encoder_layers_forward(Tensor(x), batch.attention_masks, cfg, params)
+        x = rng.standard_normal((n, cfg.embed_dim))  # one sequence: packed rows are positions
+        base = encoder_layers_forward(Tensor(x), groups, cfg, params)
         for j in range(n):
             bumped = x.copy()
-            bumped[0, j] += 0.05 * rng.standard_normal(cfg.embed_dim) + 0.05
-            out = encoder_layers_forward(Tensor(bumped), batch.attention_masks,
-                                         cfg, params)
-            delta = np.abs(out.data - base.data).max(axis=-1)[0]
+            bumped[j] += 0.05 * rng.standard_normal(cfg.embed_dim) + 0.05
+            out = encoder_layers_forward(Tensor(bumped), groups, cfg, params)
+            delta = np.abs(out.data - base.data).max(axis=-1)
             for i in range(n):
                 if dense[i, j]:
                     assert delta[i] > 1e-9, f"contact ({i},{j}) had no effect"

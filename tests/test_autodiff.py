@@ -233,11 +233,16 @@ class TestMaskedSoftmaxOracle:
         disallow[..., np.arange(l), rng.integers(0, l, size=l)] = False  # one key per row
         scores = (q @ np.swapaxes(k, -1, -2)) * dtype(scale)
         g_scores = rng.standard_normal(scores.shape).astype(dtype)
+        # the packed op sees (B * L, H, dh) rows, as one group spanning them all
+        groups = [(0, b, l, disallow[:, 0])]
+
+        def packed(a):
+            return a.transpose(0, 2, 1, 3).reshape(b * l, h, dh)
 
         def run():
-            leaves = [Tensor(a, requires_grad=True) for a in (q, k, v)]
-            out = ad.masked_attention(*leaves, disallow, scale / math.sqrt(dh))
-            out.backward(g)
+            leaves = [Tensor(packed(a), requires_grad=True) for a in (q, k, v)]
+            out = ad.masked_attention(*leaves, groups, scale / math.sqrt(dh))
+            out.backward(packed(g))
             logits = Tensor(scores, requires_grad=True)
             p = ad.masked_softmax(logits, disallow)
             p.backward(g_scores)
@@ -267,46 +272,71 @@ class TestMaskedAttention:
 
     def test_gradient_with_padded_query_row(self):
         rng = np.random.default_rng(15)
-        q, k, v = rand64(rng, 2, 2, 5, 3), rand64(rng, 2, 2, 5, 3), rand64(rng, 2, 2, 5, 4)
-        disallow = rng.random((2, 1, 5, 5)) < 0.4
-        disallow[1, 0, 3, :] = True  # a padded query row: it attends only itself
-        disallow[:, :, np.arange(5), np.arange(5)] = False  # every query keeps itself
-        err = ad.grad_check(lambda: to_scalar(ad.masked_attention(q, k, v, disallow, 0.5)),
+        # two sequences of 5 tokens, 2 heads, packed as rows 0-4 and 5-9
+        q, k, v = rand64(rng, 10, 2, 3), rand64(rng, 10, 2, 3), rand64(rng, 10, 2, 4)
+        disallow = rng.random((2, 5, 5)) < 0.4
+        disallow[1, 3, :] = True  # a query row like a pad's: it attends only itself
+        disallow[:, np.arange(5), np.arange(5)] = False  # every query keeps itself
+        groups = [(0, 2, 5, disallow)]
+        err = ad.grad_check(lambda: to_scalar(ad.masked_attention(q, k, v, groups, 0.5)),
                             [q, k, v])
         assert err < GRAD_TOL
 
-        out = ad.masked_attention(q, k, v, disallow, 0.5)
-        assert np.array_equal(out.data[1, :, 3], v.data[1, :, 3])
+        out = ad.masked_attention(q, k, v, groups, 0.5)
+        assert np.array_equal(out.data[8], v.data[8])
         for t in (q, k, v):
             t.zero_grad()
         to_scalar(out).backward()
-        assert (q.grad[1, :, 3] == 0.0).all()
+        assert (q.grad[8] == 0.0).all()
+
+    def test_gradient_over_groups_of_several_lengths(self):
+        """grad_check in float64 over a packed stream of lengths 1, 3, 3 and 5."""
+        rng = np.random.default_rng(17)
+        q, k, v = rand64(rng, 12, 2, 3), rand64(rng, 12, 2, 3), rand64(rng, 12, 2, 4)
+        groups = []
+        for start, count, n in ((0, 1, 1), (1, 2, 3), (7, 1, 5)):
+            disallow = rng.random((count, n, n)) < 0.5
+            disallow[:, np.arange(n), np.arange(n)] = False
+            groups.append((start, count, n, disallow))
+        err = ad.grad_check(lambda: to_scalar(ad.masked_attention(q, k, v, groups, 0.7)),
+                            [q, k, v])
+        assert err < GRAD_TOL
+
+        # the length-1 sequence attends only itself, whatever its batchmates hold
+        out = ad.masked_attention(q, k, v, groups, 0.7)
+        assert np.array_equal(out.data[0], v.data[0])
+        q.zero_grad()
+        to_scalar(out).backward()
+        assert (q.grad[0] == 0.0).all()
 
     def test_float32_matches_composite_bit_for_bit(self):
         rng = np.random.default_rng(16)
         b, h, l, dh = 3, 4, 9, 5
 
         def heads():
-            # (B, L, H, dh) viewed as (B, H, L, dh), as the encoder splits heads
-            data = rng.standard_normal((b, l, h, dh)).astype(np.float32)
-            return data.transpose(0, 2, 1, 3)
+            # packed rows (B * L, H, dh); the composite sees them as (B, H, L, dh)
+            return rng.standard_normal((b * l, h, dh)).astype(np.float32)
+
+        def unpacked(a):
+            return a.reshape(b, l, h, dh).transpose(0, 2, 1, 3)
 
         q, k, v = heads(), heads(), heads()
         disallow = rng.random((b, 1, l, l)) < 0.5
         disallow[0, :, -2:, :] = disallow[0, :, :, -2:] = True  # two padded positions
         disallow[:, :, np.arange(l), np.arange(l)] = False  # ... that keep their diagonal
-        g = rng.standard_normal((b, h, l, dh)).astype(np.float32)
+        g = rng.standard_normal((b * l, h, dh)).astype(np.float32)
         scale = 1.0 / math.sqrt(dh)
 
-        results = []
-        for op in (ad.masked_attention, self.composite):
-            leaves = [Tensor(a, requires_grad=True) for a in (q, k, v)]
-            out = op(*leaves, disallow, scale)
-            out.backward(g)
-            results.append([out.data] + [t.grad for t in leaves])
-        for fused, reference in zip(*results):
-            assert fused.dtype == np.float32
-            assert np.array_equal(fused, reference)
+        leaves = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+        out = ad.masked_attention(*leaves, [(0, b, l, disallow[:, 0])], scale)
+        out.backward(g)
+        fused = [unpacked(a) for a in (out.data, *(t.grad for t in leaves))]
+        leaves = [Tensor(unpacked(a), requires_grad=True) for a in (q, k, v)]
+        out = self.composite(*leaves, disallow, scale)
+        out.backward(np.ascontiguousarray(unpacked(g)))
+        for ours, reference in zip(fused, [out.data] + [t.grad for t in leaves], strict=True):
+            assert ours.dtype == np.float32
+            assert np.array_equal(ours, reference)
 
 
 class TestWeightedCrossEntropy:
@@ -387,8 +417,9 @@ class TestShapeErrors:
 
     def test_masked_attention_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            ad.masked_attention(t64(np.zeros((1, 2, 3))), t64(np.zeros((1, 2, 4))),
-                                t64(np.zeros((1, 2, 3))), np.zeros((2, 2), dtype=bool), 1.0)
+            ad.masked_attention(t64(np.zeros((2, 1, 3))), t64(np.zeros((2, 1, 4))),
+                                t64(np.zeros((2, 1, 3))), [(0, 1, 2, np.zeros((1, 2, 2), bool))],
+                                1.0)
 
     def test_masked_mean_mismatch(self):
         with pytest.raises(ShapeMismatch):

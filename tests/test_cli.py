@@ -411,6 +411,33 @@ class TestExitCodes:
         assert exc.value.code == 1
         assert not manifest.exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_non_positive_workers_is_usage_error(self, corpus_dir, tmp_path, workers):
+        out = tmp_path / "out"
+        out.mkdir()
+        with pytest.raises(SystemExit) as exc:
+            run(["prep", "--index", corpus_dir / "index.tsv", "--pdb-dir", corpus_dir / "pdbs",
+                 "--out", out, f"--workers={workers}"])
+        assert exc.value.code == 1
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("subcommand", ["train", "evaluate", "embed"])
+    @pytest.mark.parametrize("batch_size", ["0", "-2"])
+    def test_non_positive_batch_size_is_usage_error(self, pipeline_dir, tmp_path, subcommand,
+                                                    batch_size):
+        out = tmp_path / "out"
+        out.mkdir()
+        common = ["--data", pipeline_dir, "--manifest", pipeline_dir / "manifest.json",
+                  f"--batch-size={batch_size}"]
+        extra = {"train": ["--checkpoint", out / "x.ckpt", "--epochs", 1],
+                 "evaluate": ["--checkpoint", pipeline_dir / "model.ckpt",
+                              "--out", out / "report.json", "--text", out / "report.txt"],
+                 "embed": ["--checkpoint", pipeline_dir / "model.ckpt", "--out", out / "e.tsv"]}
+        with pytest.raises(SystemExit) as exc:
+            run([subcommand, *common, *extra[subcommand]])
+        assert exc.value.code == 1
+        assert list(out.iterdir()) == []
+
     def test_missing_data_is_data_error(self, tmp_path):
         assert run(["split", "--data", tmp_path / "nowhere",
                     "--out", tmp_path / "m.json"]) == 2

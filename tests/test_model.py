@@ -5,6 +5,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contactformer import autodiff as ad
 from contactformer.autodiff import Tensor
@@ -22,6 +24,7 @@ from contactformer.model import (
     init_params,
     load_checkpoint,
     multi_head_attention,
+    pack,
     param_shapes,
     positional_encoding,
     save_checkpoint,
@@ -138,13 +141,13 @@ class TestMultiHeadAttention:
     def test_single_head_matches_dense_oracle(self):
         rng = np.random.default_rng(0)
         d = 2
-        x_np = rng.standard_normal((1, 2, d))
+        x_np = rng.standard_normal((2, d))  # one sequence of two tokens
         params = init_params(ModelConfig(n_classes=2, embed_dim=d, n_heads=1,
                                          n_layers=1, ffn_dim=4, dropout=0.0),
                              rng, dtype=np.float64)
         pfx = "layers.0.attn"
-        attn_mask = np.zeros((1, 2, 2), dtype=bool)
-        out = multi_head_attention(Tensor(x_np), attn_mask, params,
+        groups = [(0, 1, 2, np.zeros((1, 2, 2), dtype=bool))]
+        out = multi_head_attention(Tensor(x_np), groups, params,
                                    n_heads=1, prefix=pfx)
 
         # explicit 2x2 recomputation
@@ -152,47 +155,45 @@ class TestMultiHeadAttention:
             return params[f"{pfx}.{name}.weight"].tensor.data
         def b(name):
             return params[f"{pfx}.{name}.bias"].tensor.data
-        q = x_np[0] @ w("q") + b("q")
-        k = x_np[0] @ w("k") + b("k")
-        v = x_np[0] @ w("v") + b("v")
+        q = x_np @ w("q") + b("q")
+        k = x_np @ w("k") + b("k")
+        v = x_np @ w("v") + b("v")
         scores = q @ k.T / math.sqrt(d)
         e = np.exp(scores - scores.max(axis=1, keepdims=True))
         weights = e / e.sum(axis=1, keepdims=True)
         expected = (weights @ v) @ w("out") + b("out")
-        assert np.allclose(out.data[0], expected, atol=1e-12)
+        assert np.allclose(out.data, expected, atol=1e-12)
 
     def test_attention_rows_sum_to_one_and_masked_entries_zero(self, monkeypatch):
         rng = np.random.default_rng(1)
         cfg = tiny_config()
         entries = random_entries(rng, 5)
         batch = batch_encode(entries)
+        index, groups = pack(batch)
         params = init_params(cfg, rng)
-        x = ad.embedding(params["embed.weight"].tensor, batch.tokens)
+        x = ad.embedding(params["embed.weight"].tensor, batch.tokens[index])
 
-        # with v the identity (d_h = L), the fused op's output is its weights
+        # with v one-hot in each token's position (d_h = L), the fused op's
+        # output row t is query t's weights over the positions of its sequence
         captured = []
         original = ad.masked_attention
+        l = batch.tokens.shape[1]
 
-        def capture(q, k, v, disallow, scale):
-            eye = Tensor(np.broadcast_to(np.eye(v.shape[-2], dtype=v.dtype),
-                                         v.shape[:-1] + (v.shape[-2],)))
-            captured.append(original(q, k, eye, disallow, scale).data)
-            return original(q, k, v, disallow, scale)
+        def capture(q, k, v, groups, scale):
+            onehot = np.zeros(v.shape[:2] + (l,), dtype=v.dtype)
+            onehot[np.arange(v.shape[0]), :, index[1]] = 1.0
+            captured.append(original(q, k, Tensor(onehot), groups, scale).data)
+            return original(q, k, v, groups, scale)
 
         monkeypatch.setattr(ad, "masked_attention", capture)
-        multi_head_attention(x, batch.attention_masks, params, cfg.n_heads,
+        multi_head_attention(x, groups, params, cfg.n_heads,
                              prefix="layers.0.attn")
         (weights,) = captured
         lengths = (~batch.key_padding_mask).sum(axis=1)
-        eye = np.eye(weights.shape[-1], dtype=weights.dtype)
-        for bi, n in enumerate(lengths):
-            valid = weights[bi, :, :n, :]
-            assert np.allclose(valid.sum(axis=-1), 1.0, atol=1e-6)
-            disallow = batch.attention_masks[bi][None, :, :]
-            assert (weights[bi][np.broadcast_to(disallow, weights[bi].shape)] == 0).all()
-            # valid queries give pad keys zero weight; a pad query attends only itself
-            assert (valid[:, :, n:] == 0).all()
-            assert (weights[bi, :, n:, :] == eye[n:]).all()
+        for row, bi, i in zip(weights, *index):
+            assert np.allclose(row.sum(axis=-1), 1.0, atol=1e-6)
+            assert (row[:, batch.attention_masks[bi, i]] == 0).all()
+            assert (row[:, lengths[bi]:] == 0).all()  # no weight past its sequence's end
 
 
 class TestEncoderForward:
@@ -205,9 +206,10 @@ class TestEncoderForward:
         logits, pooled = encoder_forward(batch, cfg, params)
         assert logits.shape == (6, cfg.n_classes)
         assert pooled.shape == (6, cfg.embed_dim)
-        x = Tensor(np.zeros(batch.tokens.shape + (cfg.embed_dim,), dtype=np.float32))
-        states = encoder_layers_forward(x, batch.attention_masks, cfg, params)
-        assert states.shape == batch.tokens.shape + (8,)
+        t = int((~batch.key_padding_mask).sum())
+        x = Tensor(np.zeros((t, cfg.embed_dim), dtype=np.float32))
+        states = encoder_layers_forward(x, pack(batch)[1], cfg, params)
+        assert states.shape == (t, 8)
 
     def test_eval_mode_bit_deterministic(self):
         rng = np.random.default_rng(3)
@@ -255,16 +257,16 @@ class TestEncoderForward:
         params = init_params(cfg, rng, dtype=np.float64)
         entries = random_entries(rng, 1, length_range=(5, 6), contact_prob=0.0)
         batch = batch_encode(entries)
+        groups = pack(batch)[1]
 
         def states_for(x_np):
-            return encoder_layers_forward(Tensor(x_np), batch.attention_masks,
-                                          cfg, params).data
+            return encoder_layers_forward(Tensor(x_np), groups, cfg, params).data
 
-        x = rng.standard_normal((1, batch.tokens.shape[1], cfg.embed_dim))
+        x = rng.standard_normal((batch.tokens.shape[1], cfg.embed_dim))
         base = states_for(x)
         bumped = x.copy()
-        bumped[0, 2] += 0.1
-        delta = np.abs(states_for(bumped) - base).max(axis=-1)[0]
+        bumped[2] += 0.1
+        delta = np.abs(states_for(bumped) - base).max(axis=-1)
         assert delta[2] > 1e-9
         assert (np.delete(delta, 2) == 0.0).all()
 
@@ -295,16 +297,16 @@ class TestEncoderForward:
         entries = random_entries(rng, 1, length_range=(6, 7), contact_prob=0.4)
         batch = batch_encode(entries)
         n = int((~batch.key_padding_mask[0]).sum())
+        groups = pack(batch)[1]
         dense = entries[0].contact_map.dense()
 
-        x = rng.standard_normal((1, n, cfg.embed_dim))
-        base = encoder_layers_forward(Tensor(x), batch.attention_masks, cfg, params)
+        x = rng.standard_normal((n, cfg.embed_dim))
+        base = encoder_layers_forward(Tensor(x), groups, cfg, params)
         for j in range(n):
             bumped = x.copy()
-            bumped[0, j] += 0.05
-            out = encoder_layers_forward(Tensor(bumped), batch.attention_masks,
-                                         cfg, params)
-            delta = np.abs(out.data - base.data).max(axis=-1)[0]
+            bumped[j] += 0.05
+            out = encoder_layers_forward(Tensor(bumped), groups, cfg, params)
+            delta = np.abs(out.data - base.data).max(axis=-1)
             for i in range(n):
                 if dense[i, j]:
                     assert delta[i] > 1e-9
@@ -320,6 +322,88 @@ class TestEncoderForward:
         with_pe, _ = encoder_forward(batch, cfg_pe, params)
         without, _ = encoder_forward(batch, cfg_nope, params)
         assert not np.allclose(with_pe.data, without.data)
+
+
+def padded_forward(batch: EncodedBatch, config: ModelConfig, params) -> tuple[Tensor, Tensor]:
+    """The encoder as it ran before packing, without dropout: every layer on
+    the padded (B, L, d) batch, attention as the matmul -> masked_softmax ->
+    matmul chain over the (B, L, L) masks, pooling by masked_mean."""
+    b, l = batch.tokens.shape
+    d, h = config.embed_dim, config.n_heads
+    dh = d // h
+
+    def lin(t, name):
+        return ad.linear(t, params[f"{name}.weight"].tensor, params[f"{name}.bias"].tensor)
+
+    def norm(t, name):
+        return ad.layer_norm(t, params[f"{name}.scale"].tensor, params[f"{name}.shift"].tensor)
+
+    def heads(t, name):
+        return ad.transpose(ad.reshape(lin(t, name), (b, l, h, dh)), (0, 2, 1, 3))
+
+    embed = params["embed.weight"].tensor
+    x = ad.mul(ad.embedding(embed, batch.tokens), math.sqrt(d))
+    if config.use_positional:
+        x = ad.add(x, positional_encoding(l, d, dtype=embed.dtype))
+    for i in range(config.n_layers):
+        pre = f"layers.{i}.attn"
+        q, k, v = (heads(x, f"{pre}.{name}") for name in "qkv")
+        scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
+        ctx = ad.matmul(ad.masked_softmax(scores, batch.attention_masks[:, None]), v)
+        attn = lin(ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b, l, d)), f"{pre}.out")
+        x = norm(ad.add(x, attn), f"layers.{i}.ln1")
+        ff = lin(ad.relu(lin(x, f"layers.{i}.ffn.w1")), f"layers.{i}.ffn.w2")
+        x = norm(ad.add(x, ff), f"layers.{i}.ln2")
+    pooled = ad.masked_mean(x, ~batch.key_padding_mask)
+    return lin(pooled, "classifier"), pooled
+
+
+class TestPackedForward:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_padded_oracle_with_gradients(self, seed):
+        rng = np.random.default_rng([30, seed])
+        cfg = tiny_config(n_layers=2, max_len=12, use_positional=seed % 2 == 0)
+        params = init_params(cfg, rng, dtype=np.float64)
+        # lengths 1-15 in a batch of 7: equal lengths share a group, and
+        # lengths past max_len are truncated to it
+        batch = batch_encode(random_entries(rng, 7, length_range=(1, 16)), cfg.max_len)
+        class_weights = rng.uniform(0.5, 2.0, cfg.n_classes)
+        results = []
+        for forward in (encoder_forward, padded_forward):
+            ad.zero_grads(params.values())
+            logits, pooled = forward(batch, cfg, params)
+            ad.weighted_cross_entropy(logits, batch.labels, class_weights).backward()
+            grads = {name: p.tensor.grad.copy() for name, p in params.items()}
+            results.append((logits.data, pooled.data, grads))
+        (logits, pooled, grads), (logits_ref, pooled_ref, grads_ref) = results
+        rounding = 1e-12
+        assert np.abs(logits - logits_ref).max() <= rounding * np.abs(logits_ref).max()
+        assert np.abs(pooled - pooled_ref).max() <= rounding * np.abs(pooled_ref).max()
+        assert grads.keys() == grads_ref.keys() == param_shapes(cfg).keys()
+        for name, g in grads.items():
+            err = np.abs(g - grads_ref[name]).max()
+            if name.endswith("attn.k.bias"):
+                # Adding a constant to every key of a query shifts all its scores
+                # by one amount, which a softmax ignores: the exact gradient is 0
+                # and both paths return rounding noise, so only an absolute bound.
+                assert err <= rounding, name
+            else:
+                assert err <= rounding * np.abs(grads_ref[name]).max(), name
+
+    @given(lengths=st.lists(st.integers(1, 14), min_size=1, max_size=6),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_logits_do_not_depend_on_batchmates_or_place(self, lengths, seed, data):
+        cfg = tiny_config(n_layers=2, max_len=12)  # lengths 13 and 14 are truncated
+        rng = np.random.default_rng(seed)
+        params = init_params(cfg, rng, dtype=np.float64)
+        entries = [random_entries(rng, 1, length_range=(n, n + 1))[0] for n in lengths]
+        order = data.draw(st.permutations(range(len(entries))))
+        together = encoder_forward(batch_encode([entries[i] for i in order], cfg.max_len),
+                                   cfg, params)[0].data
+        for place, i in enumerate(order):
+            alone = encoder_forward(batch_encode([entries[i]], cfg.max_len), cfg, params)[0].data
+            assert np.abs(together[place] - alone[0]).max() < 1e-12
 
 
 class TestCheckpoint:

@@ -217,6 +217,15 @@ class TestEvaluate:
         _, _, pooled = evaluate(cfg, params, entries, batch_size=4)
         assert np.array_equal(np.concatenate([p for _, _, p in batches]), pooled)
 
+    @pytest.mark.parametrize("batch_size", [0, -2])
+    def test_predict_rejects_non_positive_batch_size(self, batch_size):
+        entries = overfit_dataset(4, 4, length=8, seed=8)
+        cfg = overfit_config()
+        from contactformer.model import init_params
+        params = init_params(cfg, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            list(predict(entries, cfg, params, batch_size=batch_size))
+
     def test_empty_entries_rejected(self):
         cfg = overfit_config()
         from contactformer.model import init_params
