@@ -7,6 +7,13 @@ softmax on its own. Each op records a backward closure on the output
 tensor; ``Tensor.backward()`` replays them in reverse topological order
 and accumulates into ``.grad`` buffers.
 
+A graph is differentiated once. The sweep frees it as it passes: once a
+node's closure has returned its parents' gradients, the node drops its
+parents and the closure, and with them the arrays the closure kept for
+backward (attention weights, dropout masks, layer-norm statistics), so
+nothing of a training step outlives its backward pass. A second
+``backward()`` through the same graph raises RuntimeError.
+
 :func:`masked_attention` is the encoder's whole scaled, contact-masked
 attention (scores, masked softmax, weighted sum of values) as one node,
 over packed (T, H, dh) rows: several sequences laid end to end, in
@@ -90,11 +97,19 @@ class Tensor:
         self.grad += g
 
     def backward(self, grad: np.ndarray | None = None):
-        """Reverse-mode sweep from this tensor; accumulates into .grad."""
+        """Reverse-mode sweep from this tensor; accumulates into .grad.
+
+        grad, the seed, must have this tensor's shape; without one the
+        tensor must be a scalar. The sweep frees the graph as it goes (see
+        the module docstring), so it runs once per graph: a second call
+        raises RuntimeError and leaves every .grad as the first left it.
+        """
         if grad is None:
             if self.data.size != 1:
                 raise ValueError("backward() without a seed needs a scalar output")
             grad = np.ones_like(self.data)
+        elif np.shape(grad) != self.shape:
+            raise ShapeMismatch(f"backward: seed {np.shape(grad)} for a tensor of {self.shape}")
 
         # Iterative topological order over the recorded graph.
         topo: list[Tensor] = []
@@ -113,8 +128,10 @@ class Tensor:
                 if id(parent) not in visited:
                     stack.append((parent, False))
 
+        # Popping drops topo's reference to each node as the sweep passes it.
         grads: dict[int, np.ndarray] = {id(self): grad}
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             g = grads.pop(id(node), None)
             if g is None:
                 continue
@@ -130,9 +147,15 @@ class Tensor:
                     grads[key] = grads[key] + pg
                 else:
                     grads[key] = pg
+            node._parents, node._backward = (), _released
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
+
+
+def _released(g: np.ndarray):
+    """Backward closure of a node that a backward pass has already been through."""
+    raise RuntimeError("backward() already ran through this graph")
 
 
 @dataclass

@@ -278,9 +278,11 @@ def load_checkpoint(
     whose keys are not ModelConfig's fields or whose values it rejects,
     a shape that is not a list of ints, a dtype other than <f4 or <f8);
     when the manifest's (name, shape) list differs from param_shapes of
-    its config; or when the tensor data is truncated or followed by
-    trailing bytes. Version 1 files also load: their per-tensor
-    "trainable" field, always true, is ignored.
+    its config; or when the header or the tensor data it describes is
+    longer than the file, or the tensor data is followed by trailing
+    bytes. Sizes are checked against the file before anything of that
+    size is read. Version 1 files also load: their per-tensor "trainable"
+    field, always true, is ignored.
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -292,6 +294,10 @@ def load_checkpoint(
         version, header_len = struct.unpack("<IQ", prefix)
         if version not in (1, CHECKPOINT_VERSION):
             raise CheckpointError(f"unsupported checkpoint version {version}")
+        data_len = os.fstat(fh.fileno()).st_size - 16 - header_len
+        if data_len < 0:
+            raise CheckpointError(f"truncated checkpoint header: {header_len} bytes claimed, "
+                                  f"{header_len + data_len} in the file")
         try:
             header = json.loads(fh.read(header_len).decode("utf-8"))
             cfg = header["config"]
@@ -315,17 +321,16 @@ def load_checkpoint(
                 raise CheckpointError(f"tensor {name!r}: dtype {dtype!r} is not <f4 or <f8")
         if [(n, tuple(s)) for n, s, _ in manifest] != list(param_shapes(config).items()):
             raise CheckpointError("tensor manifest does not match the config's parameter layout")
+        nbytes = [math.prod(shape) * np.dtype(dtype).itemsize for _, shape, dtype in manifest]
+        if sum(nbytes) != data_len:
+            problem = ("truncated tensor data" if sum(nbytes) > data_len
+                       else "trailing bytes after the tensor data")
+            raise CheckpointError(f"{problem}: the manifest needs {sum(nbytes)} bytes, "
+                                  f"the file holds {data_len}")
         params: dict[str, Parameter] = {}
-        for name, shape, dtype in manifest:
-            dtype = np.dtype(dtype)
-            nbytes = math.prod(shape) * dtype.itemsize
-            raw = fh.read(nbytes)
-            if len(raw) != nbytes:
-                raise CheckpointError(f"truncated tensor data for {name}")
-            arr = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+        for (name, shape, dtype), n in zip(manifest, nbytes):
+            arr = np.frombuffer(fh.read(n), dtype=dtype).reshape(shape).copy()
             params[name] = Parameter(name, Tensor(arr, requires_grad=True))
-        if fh.read(1):
-            raise CheckpointError("trailing bytes after the tensor data")
     return config, params, label_hash
 
 

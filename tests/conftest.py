@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from contactformer.model import ModelConfig
+from contactformer.model import ModelConfig, param_shapes
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CORPUS_DIR = REPO_ROOT / "data" / "corpus"
@@ -51,6 +51,14 @@ def _unlist_shape(header):
     entry["shape"] = entry["shape"][0]
 
 
+def _huge_embed_dim(header):
+    # consistent with itself, but its (d, d) tensors alone would need exabytes
+    header["config"]["embed_dim"] = 2**31
+    shapes = param_shapes(ModelConfig(**header["config"]))
+    for entry in header["tensors"]:
+        entry["shape"] = list(shapes[entry["name"]])
+
+
 # Header edits, each leaving a checkpoint that load_checkpoint must reject.
 # The tensor bytes stay as saved, so the data length alone does not give them away.
 BAD_HEADERS = {
@@ -65,7 +73,17 @@ BAD_HEADERS = {
     "config not an object": lambda h: h.update(config=list(h["config"].values())),
     "float sizes": lambda h: h["config"].update(
         {k: float(h["config"][k]) for k in ("embed_dim", "n_heads")}),
+    "embed_dim 2**31": _huge_embed_dim,
 }
+
+# Header lengths that no checkpoint file can hold.
+HUGE_HEADER_LENGTHS = (2**40, 2**64 - 1)
+
+
+def set_header_length(path: Path, header_len: int) -> None:
+    raw = bytearray(path.read_bytes())
+    raw[8:16] = struct.pack("<Q", header_len)
+    path.write_bytes(bytes(raw))
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

@@ -46,6 +46,28 @@ class TestBackwardMachinery:
         with pytest.raises(ValueError):
             ad.mul(x, x).backward()
 
+    def test_second_backward_raises_and_keeps_grads(self):
+        x, y = t64([2.0, -1.0]), t64([[0.5], [3.0]])
+        loss = ad.reshape(ad.matmul(ad.reshape(ad.add(ad.mul(x, x), x), (1, 2)), y), ())
+        loss.backward()
+        first = x.grad.copy(), y.grad.copy()
+        with pytest.raises(RuntimeError, match="already ran"):
+            loss.backward()
+        assert np.array_equal(x.grad, first[0]) and np.array_equal(y.grad, first[1])
+
+    @pytest.mark.parametrize("op, seed_shape, grad", [
+        (lambda x: ad.mul(x, 2.0), (5, 2, 3), 2.0),
+        (ad.relu, (3,), 1.0),
+    ])
+    def test_seed_must_have_the_output_shape(self, op, seed_shape, grad):
+        x = t64(np.ones((2, 3)))
+        out = op(x)
+        with pytest.raises(ShapeMismatch):
+            out.backward(np.ones(seed_shape))
+        assert x.grad is None
+        out.backward(np.ones((2, 3)))  # the rejected seed left the graph intact
+        assert np.array_equal(x.grad, np.full((2, 3), grad))
+
     def test_no_grad_blocks_graph(self):
         x = t64([1.0])
         with ad.no_grad():

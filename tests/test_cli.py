@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from contactformer import cli
 from contactformer.data import SplitManifest, load_entries
 
-from conftest import BAD_HEADERS, rewrite_checkpoint_header
+from conftest import BAD_HEADERS, HUGE_HEADER_LENGTHS, rewrite_checkpoint_header, set_header_length
 
 
 def run(argv):
@@ -358,6 +358,13 @@ class TestTrainEvaluateEmbed:
         assert run(["evaluate", "--data", pipeline_dir,
                     "--manifest", pipeline_dir / "manifest.json",
                     "--checkpoint", checkpoint]) == 2
+
+    def test_embed_rejects_impossible_header_length(self, pipeline_dir, tmp_path):
+        checkpoint = tmp_path / "bad.ckpt"
+        checkpoint.write_bytes((pipeline_dir / "model.ckpt").read_bytes())
+        set_header_length(checkpoint, HUGE_HEADER_LENGTHS[-1])
+        assert run(["embed", "--data", pipeline_dir, "--checkpoint", checkpoint,
+                    "--out", tmp_path / "emb.tsv"]) == 2
 
     def test_embed_writes_vectors_for_all_entries(self, pipeline_dir, tmp_path):
         out = tmp_path / "emb.tsv"

@@ -30,7 +30,8 @@ from contactformer.model import (
     save_checkpoint,
 )
 
-from conftest import BAD_HEADERS, rewrite_checkpoint_header, tiny_config
+from conftest import (BAD_HEADERS, HUGE_HEADER_LENGTHS, rewrite_checkpoint_header,
+                      set_header_length, tiny_config)
 
 
 def random_entries(rng, n, length_range=(3, 10), n_classes=4, contact_prob=0.3):
@@ -514,6 +515,16 @@ class TestCheckpoint:
         load_checkpoint(path)
         rewrite_checkpoint_header(path, BAD_HEADERS[edit])
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("header_len", HUGE_HEADER_LENGTHS)
+    def test_header_longer_than_file_rejected(self, tmp_path, header_len):
+        rng = np.random.default_rng(22)
+        cfg = tiny_config()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, cfg, init_params(cfg, rng))
+        set_header_length(path, header_len)
+        with pytest.raises(CheckpointError, match="truncated checkpoint header"):
             load_checkpoint(path)
 
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):

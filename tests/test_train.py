@@ -1,6 +1,8 @@
+import gc
 import importlib
 import math
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -264,7 +266,79 @@ class TestFloat32:
         assert all(p.tensor.grad.dtype == np.float32 for p in params.values())
 
 
+@pytest.fixture
+def no_gc():
+    """Only reference counting frees memory inside the test."""
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+class OutputRecorder:
+    """Weak references to the data of every tensor an autodiff op makes while .on is true."""
+
+    def __init__(self, monkeypatch):
+        self.refs, self.on = [], True
+        make = ad._make
+
+        def recording(data, parents, backward):
+            out = make(data, parents, backward)
+            if self.on:
+                self.refs.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(ad, "_make", recording)
+
+
 class TestAutodiffGraph:
+    def test_backward_frees_the_graph(self, monkeypatch, no_gc):
+        from contactformer.data import batch_encode, compute_class_weights
+        from contactformer.model import encoder_forward
+
+        entries = overfit_dataset(8, 4, length=6, seed=9)
+        cfg = overfit_config(dropout=0.1)
+        params = init_params(cfg, np.random.default_rng(0))
+        batch = batch_encode(entries)
+        refs = OutputRecorder(monkeypatch).refs
+        logits = encoder_forward(batch, cfg, params, train_mode=True,
+                                 rng=np.random.default_rng(1))[0]
+        loss = ad.weighted_cross_entropy(logits, batch.labels,
+                                         compute_class_weights(batch.labels, cfg.n_classes))
+        assert len(refs) > 20 and all(r() is not None for r in refs)
+        loss.backward()
+        alive = [r() for r in refs if r() is not None]
+        assert len(alive) == 2 and alive[0] is logits.data and alive[1] is loss.data
+        assert all(p.tensor.grad is not None for p in params.values())
+
+    def test_no_step_graph_outlives_its_backward(self, monkeypatch, no_gc):
+        # at each forward pass, nothing made by an earlier training forward pass
+        # is alive, except the logits and pooled outputs train() still names
+        entries = overfit_dataset(8, 4, length=6, seed=2)
+        recorder = OutputRecorder(monkeypatch)
+        recorder.on = False
+        earlier, live_at_call = [], []
+        forward = train_mod.encoder_forward
+
+        def checked_forward(batch, config, params, train_mode=False, rng=None):
+            live_at_call.append(sum(r() is not None for r in earlier))
+            recorder.on = train_mode
+            try:
+                logits, pooled = forward(batch, config, params, train_mode, rng)
+            finally:
+                recorder.on = False
+            earlier.extend(r for r in recorder.refs
+                           if r() is not logits.data and r() is not pooled.data)
+            recorder.refs.clear()
+            return logits, pooled
+
+        monkeypatch.setattr(train_mod, "encoder_forward", checked_forward)
+        train(overfit_config(dropout=0.1), entries, entries[:6],
+              TrainConfig(batch_size=4, max_epochs=2, patience=10, seed=0))
+        # the baseline's 2 validation batches, then per epoch 2 steps and 2 validation batches
+        assert live_at_call == [0] * 10 and len(earlier) > 40
+
     def test_every_recorded_parent_requires_grad(self):
         # constants (embedding scale, positional table, 1/sqrt(d_h)) stay out
         from contactformer import autodiff as ad
