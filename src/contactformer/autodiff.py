@@ -17,18 +17,21 @@ nothing of a training step outlives its backward pass. A second
 :func:`masked_attention` is the encoder's whole scaled, contact-masked
 attention (scores, masked softmax, weighted sum of values) as one node,
 over packed (T, H, dh) rows: several sequences laid end to end, in
-groups of equal length. Per group it keeps one (count, H, n, n) buffer,
-the attention weights, and its backward pass derives the q, k and v
-gradients from them; :func:`masked_softmax` runs the same in-place
-softmax on a copy of its input. :func:`scatter` puts packed rows back
-into a padded array for pooling.
+groups of equal length. Its score and value products are dense per
+group (BLAS), but its softmax runs over the allowed (query, key) entries
+only, and all it keeps for backward is their weights, one (H, E) array
+per group for E allowed entries; backward rebuilds the dense weights in
+one scratch buffer. :func:`masked_softmax` runs a dense in-place softmax
+on a copy of its input. :func:`scatter` puts packed rows back into a
+padded array for pooling.
 
 Only Tensors are differentiated. The second operand of :func:`add` and
 :func:`mul` may be a plain number or array: it is a constant, cast to
 the first operand's dtype, never recorded as a parent, and given no
-gradient. :func:`masked_softmax` and :func:`masked_attention` need each
-row to allow a key; the encoder's masks always allow the diagonal. A row
-allowing none comes out NaN.
+gradient. Every softmax row needs a key; the encoder's masks always
+allow the diagonal. :func:`masked_attention` raises ValueError for a
+query that allows none, and ShapeMismatch for a group that does not fit
+its rows; in :func:`masked_softmax` such a row comes out NaN.
 
 Training runs in float32; gradient checking should run in float64 (see
 :func:`grad_check`), where every op is expected to agree with central
@@ -345,38 +348,85 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, groups: Sequence[tuple],
     (start, count, n, disallow) is count sequences of length n in rows
     start to start + count * n, viewed as (count, H, n, dh); disallow
     (count, n, n) is true where a query may not attend a key. Rows in no
-    group come out 0. Per group the scores are built in one buffer and
-    turned into the attention weights in place; only the weights are kept
-    for backward. Each query must allow a key (the encoder's masks always
-    allow the diagonal), or it comes out NaN.
+    group come out 0.
+
+    The score and value products are dense per group, but the softmax
+    runs only over the allowed entries: per group they are gathered into
+    an (H, E) array, E the number of allowed (query, key) pairs, and that
+    array, the attention weights, is all the node keeps for backward.
+    Row sums are taken over a zeroed dense buffer holding the allowed
+    values, so outputs and gradients are bit-identical to a dense masked
+    softmax. Raises ShapeMismatch for a group whose disallow is not
+    (count, n, n) or whose rows run past T, and ValueError for a group
+    with a query that allows no key (the encoder's masks always allow
+    the diagonal).
     """
     if q.data.ndim != 3 or k.shape != q.shape or v.shape[:2] != q.shape[:2]:
         raise ShapeMismatch(f"masked_attention: q {q.shape}, k {k.shape}, v {v.shape}")
+    t, h = q.shape[:2]
+    for number, (start, count, n, disallow) in enumerate(groups):
+        if np.shape(disallow) != (count, n, n) or start < 0 or start + count * n > t:
+            raise ShapeMismatch(f"masked_attention: group {number} (rows {start} + {count} x {n}, "
+                                f"disallow {np.shape(disallow)}) does not fit {t} rows")
     c = np.asarray(scale, dtype=q.data.dtype)
 
     def heads(a: np.ndarray, start: int, count: int, n: int) -> np.ndarray:
-        return a[start:start + count * n].reshape(count, n, *a.shape[1:]).transpose(0, 2, 1, 3)
+        """Rows of one group as (H, count, n, dh)."""
+        return a[start:start + count * n].reshape(count, n, *a.shape[1:]).transpose(2, 0, 1, 3)
+
+    def block(count: int, n: int) -> np.ndarray:
+        """A C-ordered (H, count, n, n) buffer, so that each head's scores are one flat run."""
+        return np.empty((h, count, n, n), dtype=q.data.dtype)
+
+    def allowed(count: int, n: int, disallow: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Flat index m n^2 + i n + j of each allowed entry in row-major order, and row degrees."""
+        index = np.flatnonzero(~np.asarray(disallow, dtype=bool))
+        return index, np.bincount(index // n, minlength=count * n)
+
+    def row_sums(s: np.ndarray, degree: np.ndarray) -> np.ndarray:
+        """s.sum(-1) of an (H, count, n, n) block, repeated to line up with its (H, E) entries."""
+        return np.repeat(s.sum(axis=-1).reshape(h, -1), degree, axis=1)
 
     out = np.zeros_like(v.data)
     weights = []
-    for start, count, n, disallow in groups:
-        p = heads(q.data, start, count, n) @ np.swapaxes(heads(k.data, start, count, n), -1, -2)
-        p *= c
-        _masked_softmax_(p, disallow[:, None])
-        heads(out, start, count, n)[...] = p @ heads(v.data, start, count, n)
-        weights.append(p)
+    for number, (start, count, n, disallow) in enumerate(groups):
+        index, degree = allowed(count, n, disallow)
+        if not degree.all():
+            raise ValueError(f"masked_attention: group {number} (rows {start} + {count} x {n}) "
+                             "has a query that allows no key")
+        s = np.matmul(heads(q.data, start, count, n),
+                      np.swapaxes(heads(k.data, start, count, n), -1, -2), out=block(count, n))
+        dense = s.reshape(h, -1)
+        w = np.take(dense, index, axis=1)
+        w *= c
+        w -= np.repeat(np.maximum.reduceat(w, np.cumsum(degree) - degree, axis=1), degree, axis=1)
+        np.exp(w, out=w)
+        s.fill(0)
+        dense[:, index] = w
+        w /= row_sums(s, degree)
+        dense[:, index] = w
+        heads(out, start, count, n)[...] = s @ heads(v.data, start, count, n)
+        weights.append(w)
 
     def backward(g):
         gq, gk, gv = np.zeros_like(q.data), np.zeros_like(k.data), np.zeros_like(v.data)
-        for (start, count, n, _), p in zip(groups, weights):
-            qg, kg, gg = (heads(a, start, count, n) for a in (q.data, k.data, g))
-            gs = gg @ np.swapaxes(heads(v.data, start, count, n), -1, -2)
-            gs -= (gs * p).sum(axis=-1, keepdims=True)
-            gs *= p
-            gs *= c
-            heads(gq, start, count, n)[...] = gs @ kg
-            heads(gk, start, count, n)[...] = np.swapaxes(np.swapaxes(qg, -1, -2) @ gs, -1, -2)
-            heads(gv, start, count, n)[...] = np.swapaxes(p, -1, -2) @ gg
+        for (start, count, n, disallow), w in zip(groups, weights):
+            index, degree = allowed(count, n, disallow)
+            qg, kg, vg, gg = (heads(a, start, count, n) for a in (q.data, k.data, v.data, g))
+            # one dense buffer: the weight gradient gs, then p, then gs * p, then the score gradient
+            s = np.matmul(gg, np.swapaxes(vg, -1, -2), out=block(count, n))
+            dense = s.reshape(h, -1)
+            gw = np.take(dense, index, axis=1)
+            s.fill(0)
+            dense[:, index] = w
+            heads(gv, start, count, n)[...] = np.swapaxes(s, -1, -2) @ gg
+            dense[:, index] = gw * w
+            gw -= row_sums(s, degree)
+            gw *= w
+            gw *= c
+            dense[:, index] = gw
+            heads(gq, start, count, n)[...] = s @ kg
+            heads(gk, start, count, n)[...] = np.swapaxes(np.swapaxes(qg, -1, -2) @ s, -1, -2)
         return ((q, gq), (k, gk), (v, gv))
 
     return _make(out, (q, k, v), backward)

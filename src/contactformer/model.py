@@ -15,6 +15,7 @@ group of equal-length sequences; pooling scatters them back to (B, L, d).
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -72,15 +73,22 @@ class ModelConfig:
             raise ValueError(f"attention_mode must be one of {ATTENTION_MODES}")
 
 
+@functools.lru_cache(maxsize=16)
 def positional_encoding(length: int, dim: int, dtype=np.float32) -> np.ndarray:
-    """Sinusoidal table: PE[p, 2i] = sin(p / 10000^(2i/d)), PE[p, 2i+1] = cos."""
+    """Sinusoidal table: PE[p, 2i] = sin(p / 10000^(2i/d)), PE[p, 2i+1] = cos.
+
+    Built once per (length, dim, dtype) and returned read-only. Row p does
+    not depend on length, so a longer table's leading rows are a shorter one.
+    """
     pos = np.arange(length, dtype=np.float64)[:, None]
     two_i = np.arange(0, dim, 2, dtype=np.float64)
     angles = pos / np.power(10000.0, two_i / dim)
     pe = np.zeros((length, dim), dtype=np.float64)
     pe[:, 0::2] = np.sin(angles)
     pe[:, 1::2] = np.cos(angles[:, : dim // 2])
-    return pe.astype(dtype)
+    pe = pe.astype(dtype)
+    pe.flags.writeable = False
+    return pe
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -219,7 +227,8 @@ def encoder_forward(
     embed = params["embed.weight"].tensor
     x = ad.mul(ad.embedding(embed, tokens[index]), math.sqrt(config.embed_dim))
     if config.use_positional:
-        x = ad.add(x, positional_encoding(l, config.embed_dim, dtype=embed.data.dtype)[index[1]])
+        table = positional_encoding(config.max_len, config.embed_dim, embed.data.dtype)
+        x = ad.add(x, table[index[1]])
     x = ad.dropout(x, config.dropout, rng, train_mode)
 
     x = encoder_layers_forward(x, groups, config, params, train_mode, rng)

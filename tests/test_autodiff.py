@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contactformer import autodiff as ad
 from contactformer.autodiff import ShapeMismatch, Tensor
@@ -241,13 +243,65 @@ def old_masked_softmax_(s, disallow):
     return s
 
 
+def dense_masked_softmax_(s, disallow):
+    """In-place masked softmax over a dense block: disallowed scores -inf, exp gives 0."""
+    np.copyto(s, -np.inf, where=np.asarray(disallow, dtype=bool))
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    return s
+
+
+def dense_attention(q, k, v, g, groups, scale, softmax_=dense_masked_softmax_):
+    """The dense masked_attention the compact op replaced, in plain numpy.
+
+    Per group it keeps the whole (count, H, n, n) weight block; returns
+    the output and the q, k and v gradients for the output gradient g.
+    """
+    c = np.asarray(scale, dtype=q.dtype)
+
+    def heads(a, start, count, n):
+        return a[start:start + count * n].reshape(count, n, *a.shape[1:]).transpose(0, 2, 1, 3)
+
+    out, gq, gk, gv = np.zeros_like(v), np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)
+    for start, count, n, disallow in groups:
+        qg, kg, vg, gg = (heads(a, start, count, n) for a in (q, k, v, g))
+        p = qg @ np.swapaxes(kg, -1, -2)
+        p *= c
+        softmax_(p, disallow[:, None])
+        heads(out, start, count, n)[...] = p @ vg
+        gs = gg @ np.swapaxes(vg, -1, -2)
+        gs -= (gs * p).sum(axis=-1, keepdims=True)
+        gs *= p
+        gs *= c
+        heads(gq, start, count, n)[...] = gs @ kg
+        heads(gk, start, count, n)[...] = np.swapaxes(np.swapaxes(qg, -1, -2) @ gs, -1, -2)
+        heads(gv, start, count, n)[...] = np.swapaxes(p, -1, -2) @ gg
+    return out, gq, gk, gv
+
+
+def fused_attention(q, k, v, g, groups, scale):
+    """ad.masked_attention's output and q, k and v gradients for the output gradient g."""
+    leaves = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+    out = ad.masked_attention(*leaves, groups, scale)
+    out.backward(g)
+    return out.data, *(t.grad for t in leaves)
+
+
+def assert_bit_identical(ours, reference, dtype):
+    for a, b in zip(ours, reference, strict=True):
+        assert a.dtype == dtype
+        assert np.array_equal(a, b)
+
+
 class TestMaskedSoftmaxOracle:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("scale", [1.0, 100.0])
     @pytest.mark.parametrize("seed", range(4))
     def test_bit_identical_to_old_kernel(self, monkeypatch, dtype, scale, seed):
         """On rows that allow at least one key, the -inf kernel gives the old
-        kernel's outputs and gradients bit for bit."""
+        kernel's outputs and gradients bit for bit: masked_softmax directly,
+        and masked_attention against the dense computation on the old kernel."""
         rng = np.random.default_rng([20, seed])
         b, h, l, dh = 2, 3, 11, 4
         q, k, v, g = (rng.standard_normal((b, h, l, dh)).astype(dtype) for _ in range(4))
@@ -257,25 +311,20 @@ class TestMaskedSoftmaxOracle:
         g_scores = rng.standard_normal(scores.shape).astype(dtype)
         # the packed op sees (B * L, H, dh) rows, as one group spanning them all
         groups = [(0, b, l, disallow[:, 0])]
-
-        def packed(a):
-            return a.transpose(0, 2, 1, 3).reshape(b * l, h, dh)
+        packed = [a.transpose(0, 2, 1, 3).reshape(b * l, h, dh) for a in (q, k, v, g)]
+        assert_bit_identical(fused_attention(*packed, groups, scale / math.sqrt(dh)),
+                             dense_attention(*packed, groups, scale / math.sqrt(dh),
+                                             old_masked_softmax_), dtype)
 
         def run():
-            leaves = [Tensor(packed(a), requires_grad=True) for a in (q, k, v)]
-            out = ad.masked_attention(*leaves, groups, scale / math.sqrt(dh))
-            out.backward(packed(g))
             logits = Tensor(scores, requires_grad=True)
             p = ad.masked_softmax(logits, disallow)
             p.backward(g_scores)
-            kernel = ad._masked_softmax_(scores.copy(), disallow)
-            return [out.data, *(t.grad for t in leaves), p.data, logits.grad, kernel]
+            return [p.data, logits.grad, ad._masked_softmax_(scores.copy(), disallow)]
 
         new = run()
         monkeypatch.setattr(ad, "_masked_softmax_", old_masked_softmax_)
-        for ours, old in zip(new, run(), strict=True):
-            assert ours.dtype == dtype
-            assert np.array_equal(ours, old)
+        assert_bit_identical(new, run(), dtype)
 
     def test_row_that_allows_no_key_is_nan(self):
         with np.errstate(invalid="ignore"):
@@ -359,6 +408,62 @@ class TestMaskedAttention:
         for ours, reference in zip(fused, [out.data] + [t.grad for t in leaves], strict=True):
             assert ours.dtype == np.float32
             assert np.array_equal(ours, reference)
+
+
+    @staticmethod
+    def layout(rng, shapes, density, gap=0):
+        """Groups of (count, n), gap rows apart, whose masks allow a key with probability
+        density besides the diagonal; returns (T, groups)."""
+        groups, start = [], gap
+        for count, n in shapes:
+            disallow = rng.random((count, n, n)) >= density
+            disallow[:, np.arange(n), np.arange(n)] = False
+            groups.append((start, count, n, disallow))
+            start += count * n + gap
+        return start, groups
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_dense_reference(self, dtype):
+        """Outputs and q, k and v gradients equal the dense computation bit for bit."""
+        rng = np.random.default_rng(18)
+        t, groups = self.layout(rng, [(3, 1), (2, 7), (1, 12), (4, 30)], 0.3, gap=1)
+        q, k, v, g = (rng.standard_normal((t, 4, 8)).astype(dtype) for _ in range(4))
+        assert_bit_identical(fused_attention(q, k, v, g, groups, 0.35),
+                             dense_attention(q, k, v, g, groups, 0.35), dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_reference_on_random_layouts(self, dtype, data):
+        shapes = data.draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 20)),
+                                    min_size=1, max_size=3), label="(count, n) per group")
+        # 0: each query attends only itself; 1: every key (full mode)
+        density = data.draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]), label="density")
+        h, dh = data.draw(st.integers(1, 3), label="heads"), data.draw(st.integers(1, 4), label="dh")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        t, groups = self.layout(rng, shapes, density, gap=data.draw(st.integers(0, 2), label="gap"))
+        q, k, v, g = (rng.standard_normal((t, h, dh)).astype(dtype) for _ in range(4))
+        assert_bit_identical(fused_attention(q, k, v, g, groups, 1.0 / math.sqrt(dh)),
+                             dense_attention(q, k, v, g, groups, 1.0 / math.sqrt(dh)), dtype)
+
+    def test_query_that_allows_no_key_raises_naming_its_group(self):
+        rng = np.random.default_rng(19)
+        t, groups = self.layout(rng, [(1, 2), (2, 3)], 0.5)
+        groups[1][3][1, 2, :] = True  # the second sequence's last query allows no key
+        q = rand64(rng, t, 2, 3)
+        with pytest.raises(ValueError, match="group 1 "):
+            ad.masked_attention(q, q, q, groups, 1.0)
+
+    @pytest.mark.parametrize("group", [
+        (0, 2, 3, np.zeros((2, 3, 4), bool)),  # disallow not (count, n, n)
+        (0, 2, 3, np.zeros((1, 3, 3), bool)),
+        (2, 2, 3, np.zeros((2, 3, 3), bool)),  # rows 2-7 of 7
+        (-1, 1, 3, np.zeros((1, 3, 3), bool)),
+    ])
+    def test_group_that_does_not_fit_raises(self, group):
+        q = rand64(np.random.default_rng(20), 7, 2, 3)
+        with pytest.raises(ShapeMismatch, match="group 0 "):
+            ad.masked_attention(q, q, q, [group], 1.0)
 
 
 class TestWeightedCrossEntropy:

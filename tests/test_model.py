@@ -81,6 +81,19 @@ class TestPositionalEncoding:
         pe = positional_encoding(5, 7)
         assert pe.shape == (5, 7)
 
+    def test_built_once_and_read_only(self):
+        pe = positional_encoding(6, 4, np.float32)
+        assert positional_encoding(6, 4, np.float32) is pe
+        with pytest.raises(ValueError):
+            pe[0, 0] = 1.0
+
+    @pytest.mark.parametrize("dim", [7, 16, 128])
+    def test_rows_do_not_depend_on_length(self, dim):
+        # encoder_forward indexes the max_len table; a batch's own-length table is its head
+        full = positional_encoding(512, dim, np.float32)
+        for length in (1, 5, 16, 100, 257, 511):
+            assert positional_encoding(length, dim, np.float32).tobytes() == full[:length].tobytes()
+
 
 class TestCountParameters:
     def test_hand_computed_tiny_case(self):
