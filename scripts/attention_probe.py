@@ -72,7 +72,6 @@ def probe(name: str, batches: list[list[Entry]], max_len: int, d: int, heads: in
         out = ad.masked_attention(*leaves, groups, scale)
         if backward:
             out.backward(g)
-        return out
 
     for call in calls:  # warm-up: first-touch page faults, BLAS thread start
         forward(*call, True)
