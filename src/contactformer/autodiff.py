@@ -297,14 +297,17 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5) -> Te
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, train: bool) -> Tensor:
-    """Inverted dropout; identity when rate == 0 or train is False."""
+    """Inverted dropout; identity when rate == 0 or train is False.
+
+    The keep mask is drawn from rng in x's dtype (float32 draws in training).
+    """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not train or rate == 0.0:
         return x
     if rng is None:
         raise ValueError("training-mode dropout needs an explicit rng")
-    mask = (rng.random(x.shape) >= rate).astype(x.data.dtype) / (1.0 - rate)
+    mask = (rng.random(x.shape, dtype=x.data.dtype) >= rate).astype(x.data.dtype) / (1.0 - rate)
 
     def backward(g):
         return ((x, g * mask),)
