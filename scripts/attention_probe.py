@@ -10,11 +10,11 @@ protein-like generator (30-500 residues, contact mode):
 * long: the long benchmark workload's training batches (32 chains,
   seed 1, B=8, max_len 256, d=128, 8 heads).
 
-q, k and v are random float32 (T, H, dh) rows; the op's cost does not
-depend on their values. For each case it prints the median over
+q, k and v are random float32 (T, d) rows, split into the heads by the
+op; its cost does not depend on their values. For each case it prints the median over
 --repeats, after one warm-up pass, of one forward call and of forward
 plus backward (summed over the case's batches); the share of (query,
-key) entries in the groups' n x n blocks that the masks allow; and the
+key) entries in pack's (count, n, n) blocks that the masks allow; and the
 bytes the node keeps alive for backward: memory allocated during the
 forward call (tracemalloc) and still held once it returns, less the
 output array.
@@ -58,18 +58,16 @@ def probe(name: str, batches: list[list[Entry]], max_len: int, d: int, heads: in
     calls = []
     allowed = cells = 0
     for entries in batches:
-        _, groups = pack(batch_encode(entries, max_len, "contact"))
-        t = sum(count * n for _, count, n, _ in groups)
-        q, k, v, g = (rng.standard_normal((t, heads, d // heads)).astype(np.float32)
-                      for _ in range(4))
-        calls.append((q, k, v, g, groups))
-        allowed += sum(int((~disallow).sum()) for *_, disallow in groups)
-        cells += sum(count * n * n for _, count, n, _ in groups)
-    scale = 1.0 / np.sqrt(d // heads)
+        _, blocks = pack(batch_encode(entries, max_len, "contact"))
+        t = sum(block.shape[0] * block.shape[1] for block in blocks)
+        q, k, v, g = (rng.standard_normal((t, d)).astype(np.float32) for _ in range(4))
+        calls.append((q, k, v, g, blocks))
+        allowed += sum(int((~block).sum()) for block in blocks)
+        cells += sum(block.size for block in blocks)
 
-    def forward(q, k, v, g, groups, backward):
+    def forward(q, k, v, g, blocks, backward):
         leaves = [ad.Tensor(a, requires_grad=True) for a in (q, k, v)]
-        out = ad.masked_attention(*leaves, groups, scale)
+        out = ad.masked_attention(*leaves, blocks, heads)
         if backward:
             out.backward(g)
 
@@ -86,10 +84,10 @@ def probe(name: str, batches: list[list[Entry]], max_len: int, d: int, heads: in
         timings[backward] = statistics.median(runs)
 
     kept = 0
-    for q, k, v, g, groups in calls:
+    for q, k, v, g, blocks in calls:
         leaves = [ad.Tensor(a, requires_grad=True) for a in (q, k, v)]
         tracemalloc.start()
-        out = ad.masked_attention(*leaves, groups, scale)
+        out = ad.masked_attention(*leaves, blocks, heads)
         kept += tracemalloc.get_traced_memory()[0] - out.data.nbytes
         tracemalloc.stop()
         del out

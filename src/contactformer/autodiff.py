@@ -16,21 +16,22 @@ nothing of a training step outlives its backward pass. A second
 
 :func:`masked_attention` is the encoder's whole scaled, contact-masked
 attention (scores, masked softmax, weighted sum of values) as one node,
-over packed (T, H, dh) rows: several sequences laid end to end, in
-groups of equal length. Its score and value products are dense per
-group (BLAS), but its softmax runs over the allowed (query, key) entries
-only, and all it keeps for backward is their weights, one (H, E) array
-per group for E allowed entries; backward rebuilds the dense weights in
-one scratch buffer. :func:`masked_softmax` runs a dense in-place softmax
-on a copy of its input. :func:`scatter` puts packed rows back into a
-padded array for pooling.
+over packed (T, d) projections: several sequences laid end to end, in
+groups of equal length, each group described by its (count, n, n)
+disallow block alone; heads are views of the columns. Its score and
+value products are dense per block (BLAS), but its softmax runs over the
+allowed (query, key) entries only, and all it keeps for backward is
+their weights, one (H, E) array per block for E allowed entries;
+backward rebuilds the dense weights in one scratch buffer.
+:func:`masked_softmax` runs a dense softmax on a copy of its input.
+:func:`scatter` puts packed rows back into a padded array for pooling.
 
 Only Tensors are differentiated. The second operand of :func:`add` and
 :func:`mul` may be a plain number or array: it is a constant, cast to
 the first operand's dtype, never recorded as a parent, and given no
 gradient. Every softmax row needs a key; the encoder's masks always
 allow the diagonal. :func:`masked_attention` raises ValueError for a
-query that allows none, and ShapeMismatch for a group that does not fit
+query that allows none, and ShapeMismatch for blocks that do not tile
 its rows; in :func:`masked_softmax` such a row comes out NaN.
 
 Training runs in float32; gradient checking should run in float64 (see
@@ -41,6 +42,7 @@ differences to better than 1e-4 relative error.
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -228,28 +230,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data @ b.data, (a, b), backward)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """y = x @ w + b over the last axis of x; w is (d_in, d_out)."""
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """y = x @ w + b over the last axis of x; w is (d_in, d_out), b is (d_out,)."""
     d_in, d_out = w.shape
-    if x.shape[-1] != d_in:
-        raise ShapeMismatch(f"linear: x {x.shape} vs w {w.shape}")
+    if x.shape[-1] != d_in or b.shape != (d_out,):
+        raise ShapeMismatch(f"linear: x {x.shape}, w {w.shape}, bias {b.shape}")
     x2 = x.data.reshape(-1, d_in)
-    y = x2 @ w.data
-    if b is not None:
-        if b.shape != (d_out,):
-            raise ShapeMismatch(f"linear: bias {b.shape}, expected ({d_out},)")
-        y = y + b.data
-    y = y.reshape(*x.shape[:-1], d_out)
+    y = (x2 @ w.data + b.data).reshape(*x.shape[:-1], d_out)
 
     def backward(g):
         g2 = g.reshape(-1, d_out)
-        grads = [(x, (g2 @ w.data.T).reshape(x.shape)), (w, x2.T @ g2)]
-        if b is not None:
-            grads.append((b, g2.sum(axis=0)))
-        return grads
+        return ((x, (g2 @ w.data.T).reshape(x.shape)), (w, x2.T @ g2), (b, g2.sum(axis=0)))
 
-    parents = (x, w) if b is None else (x, w, b)
-    return _make(y, parents, backward)
+    return _make(y, (x, w, b), backward)
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -315,26 +308,19 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, train: bool
     return _make(x.data * mask, (x,), backward)
 
 
-def _masked_softmax_(s: np.ndarray, disallow: np.ndarray) -> np.ndarray:
-    """Masked softmax over the last axis of s, computed in place; returns s.
-
-    Disallowed scores become -inf, so exp gives them exactly 0.
-    """
-    np.copyto(s, -np.inf, where=np.asarray(disallow, dtype=bool))
-    s -= s.max(axis=-1, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
-    return s
-
-
 def masked_softmax(logits: Tensor, disallow: np.ndarray) -> Tensor:
     """Softmax over the last axis with hard-masked entries.
 
-    Disallowed positions receive probability exactly 0; allowed positions
-    follow the softmax of their logits. Each row must allow an entry (the
-    encoder's masks always allow the diagonal), or it comes out NaN.
+    Disallowed scores become -inf, so exp gives them probability exactly
+    0; allowed positions follow the softmax of their logits. Each row must
+    allow an entry (the encoder's masks always allow the diagonal), or it
+    comes out NaN.
     """
-    p = _masked_softmax_(logits.data.copy(), disallow)
+    p = logits.data.copy()
+    np.copyto(p, -np.inf, where=np.asarray(disallow, dtype=bool))
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
 
     def backward(g):
         inner = (g * p).sum(axis=-1, keepdims=True)
@@ -343,62 +329,64 @@ def masked_softmax(logits: Tensor, disallow: np.ndarray) -> Tensor:
     return _make(p, (logits,), backward)
 
 
-def masked_attention(q: Tensor, k: Tensor, v: Tensor, groups: Sequence[tuple],
-                     scale: float) -> Tensor:
-    """softmax(scale * q @ k^T, masked) @ v within each packed sequence, as one node.
+def masked_attention(q: Tensor, k: Tensor, v: Tensor, blocks: Sequence[np.ndarray],
+                     n_heads: int) -> Tensor:
+    """softmax(q @ k^T / sqrt(dh), masked) @ v within each packed sequence, as one node.
 
-    q, k and v are (T, H, dh) rows of sequences laid end to end. A group
-    (start, count, n, disallow) is count sequences of length n in rows
-    start to start + count * n, viewed as (count, H, n, dh); disallow
-    (count, n, n) is true where a query may not attend a key. Rows in no
-    group come out 0.
+    q, k (T, d) and v (T, dv) hold sequences laid end to end, their
+    columns split into n_heads heads (dh = d / n_heads). Each block is a
+    (count, n, n) disallow array (true where a query may not attend a key)
+    for the next count sequences, of length n; the blocks tile the T rows
+    in order. Returns (T, dv).
 
-    The score and value products are dense per group, but the softmax
-    runs only over the allowed entries: per group they are gathered into
+    The score and value products are dense per block, but the softmax
+    runs only over the allowed entries: per block they are gathered into
     an (H, E) array, E the number of allowed (query, key) pairs, and that
     array, the attention weights, is all the node keeps for backward.
     Row sums are taken over a zeroed dense buffer holding the allowed
     values, so outputs and gradients are bit-identical to a dense masked
-    softmax. Raises ShapeMismatch for a group whose disallow is not
-    (count, n, n) or whose rows run past T, and ValueError for a group
-    with a query that allows no key (the encoder's masks always allow
-    the diagonal).
+    softmax. Raises ShapeMismatch for blocks that are not (count, n, n) or
+    do not tile the T rows, or for n_heads that does not divide d and dv;
+    and ValueError for a block with a query that allows no key (the
+    encoder's masks always allow the diagonal).
     """
-    if q.data.ndim != 3 or k.shape != q.shape or v.shape[:2] != q.shape[:2]:
-        raise ShapeMismatch(f"masked_attention: q {q.shape}, k {k.shape}, v {v.shape}")
-    t, h = q.shape[:2]
-    for number, (start, count, n, disallow) in enumerate(groups):
-        if np.shape(disallow) != (count, n, n) or start < 0 or start + count * n > t:
-            raise ShapeMismatch(f"masked_attention: group {number} (rows {start} + {count} x {n}, "
-                                f"disallow {np.shape(disallow)}) does not fit {t} rows")
-    c = np.asarray(scale, dtype=q.data.dtype)
+    h = n_heads
+    if (q.data.ndim != 2 or k.shape != q.shape or v.data.ndim != 2 or v.shape[0] != q.shape[0]
+            or h < 1 or q.shape[1] % h or v.shape[1] % h):
+        raise ShapeMismatch(f"masked_attention: q {q.shape}, k {k.shape}, v {v.shape}, {h} heads")
+    shapes = [np.shape(b) for b in blocks]
+    starts = np.cumsum([0] + [math.prod(s[:2]) for s in shapes]).tolist()  # first rows
+    if starts[-1] != q.shape[0] or any(len(s) != 3 or s[1] != s[2] for s in shapes):
+        raise ShapeMismatch(f"masked_attention: blocks {shapes} are not (count, n, n) "
+                            f"blocks tiling {q.shape[0]} rows")
+    c = np.asarray(1.0 / math.sqrt(q.shape[1] // h), dtype=q.data.dtype)
 
-    def heads(a: np.ndarray, start: int, count: int, n: int) -> np.ndarray:
-        """Rows of one group as (H, count, n, dh)."""
-        return a[start:start + count * n].reshape(count, n, *a.shape[1:]).transpose(2, 0, 1, 3)
+    def heads(a: np.ndarray, number: int) -> np.ndarray:
+        """Block number's rows of a (T, H * w) array as an (H, count, n, w) view."""
+        count, n, _ = shapes[number]
+        rows = a[starts[number]:starts[number + 1]]
+        return rows.reshape(count, n, h, a.shape[1] // h).transpose(2, 0, 1, 3)
 
-    def block(count: int, n: int) -> np.ndarray:
-        """A C-ordered (H, count, n, n) buffer, so that each head's scores are one flat run."""
-        return np.empty((h, count, n, n), dtype=q.data.dtype)
-
-    def allowed(count: int, n: int, disallow: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def allowed(number: int) -> tuple[np.ndarray, np.ndarray]:
         """Flat index m n^2 + i n + j of each allowed entry in row-major order, and row degrees."""
-        index = np.flatnonzero(~np.asarray(disallow, dtype=bool))
+        count, n, _ = shapes[number]
+        index = np.flatnonzero(~np.asarray(blocks[number], dtype=bool))
         return index, np.bincount(index // n, minlength=count * n)
 
     def row_sums(s: np.ndarray, degree: np.ndarray) -> np.ndarray:
         """s.sum(-1) of an (H, count, n, n) block, repeated to line up with its (H, E) entries."""
         return np.repeat(s.sum(axis=-1).reshape(h, -1), degree, axis=1)
 
-    out = np.zeros_like(v.data)
+    out = np.zeros(v.shape, dtype=v.data.dtype)
     weights = []
-    for number, (start, count, n, disallow) in enumerate(groups):
-        index, degree = allowed(count, n, disallow)
+    for number in range(len(shapes)):
+        index, degree = allowed(number)
         if not degree.all():
-            raise ValueError(f"masked_attention: group {number} (rows {start} + {count} x {n}) "
+            raise ValueError(f"masked_attention: block {number} {shapes[number]} "
                              "has a query that allows no key")
-        s = np.matmul(heads(q.data, start, count, n),
-                      np.swapaxes(heads(k.data, start, count, n), -1, -2), out=block(count, n))
+        # a C-ordered (H, count, n, n) buffer, so that each head's scores are one flat run
+        s = np.matmul(heads(q.data, number), np.swapaxes(heads(k.data, number), -1, -2),
+                      out=np.empty((h, *shapes[number]), dtype=q.data.dtype))
         dense = s.reshape(h, -1)
         w = np.take(dense, index, axis=1)
         w *= c
@@ -408,28 +396,28 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, groups: Sequence[tuple],
         dense[:, index] = w
         w /= row_sums(s, degree)
         dense[:, index] = w
-        heads(out, start, count, n)[...] = s @ heads(v.data, start, count, n)
+        heads(out, number)[...] = s @ heads(v.data, number)
         weights.append(w)
 
     def backward(g):
-        gq, gk, gv = np.zeros_like(q.data), np.zeros_like(k.data), np.zeros_like(v.data)
-        for (start, count, n, disallow), w in zip(groups, weights):
-            index, degree = allowed(count, n, disallow)
-            qg, kg, vg, gg = (heads(a, start, count, n) for a in (q.data, k.data, v.data, g))
+        gq, gk, gv = (np.zeros(a.shape, dtype=a.dtype) for a in (q.data, k.data, v.data))
+        for number, w in enumerate(weights):
+            index, degree = allowed(number)
+            qg, kg, vg, gg = (heads(a, number) for a in (q.data, k.data, v.data, g))
             # one dense buffer: the weight gradient gs, then p, then gs * p, then the score gradient
-            s = np.matmul(gg, np.swapaxes(vg, -1, -2), out=block(count, n))
+            s = np.matmul(gg, np.swapaxes(vg, -1, -2), out=np.empty((h, *shapes[number]), q.dtype))
             dense = s.reshape(h, -1)
             gw = np.take(dense, index, axis=1)
             s.fill(0)
             dense[:, index] = w
-            heads(gv, start, count, n)[...] = np.swapaxes(s, -1, -2) @ gg
+            heads(gv, number)[...] = np.swapaxes(s, -1, -2) @ gg
             dense[:, index] = gw * w
             gw -= row_sums(s, degree)
             gw *= w
             gw *= c
             dense[:, index] = gw
-            heads(gq, start, count, n)[...] = s @ kg
-            heads(gk, start, count, n)[...] = np.swapaxes(np.swapaxes(qg, -1, -2) @ s, -1, -2)
+            heads(gq, number)[...] = s @ kg
+            heads(gk, number)[...] = np.swapaxes(np.swapaxes(qg, -1, -2) @ s, -1, -2)
         return ((q, gq), (k, gk), (v, gv))
 
     return _make(out, (q, k, v), backward)

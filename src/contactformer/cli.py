@@ -90,6 +90,12 @@ def finite_positive_float(text: str) -> float:
     return float(text)
 
 
+def finite_non_negative_float(text: str) -> float:
+    if not 0 <= float(text) < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return float(text)
+
+
 def positive_int(text: str) -> int:
     if int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
@@ -99,6 +105,12 @@ def positive_int(text: str) -> int:
 def unit_fraction(text: str) -> float:
     if not 0 <= float(text) <= 1:
         raise argparse.ArgumentTypeError(f"must be a number in [0, 1], got {text!r}")
+    return float(text)
+
+
+def dropout_rate(text: str) -> float:
+    if not 0 <= float(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a number in [0, 1), got {text!r}")
     return float(text)
 
 
@@ -252,12 +264,12 @@ def cmd_embed(args) -> int:
 
 def _add_model_flags(p: argparse.ArgumentParser):
     p.add_argument("--embed-dim", type=int, choices=(128, 256), default=256)
-    p.add_argument("--heads", type=int, default=8)
+    p.add_argument("--heads", type=positive_int, default=8)
     p.add_argument("--layers", type=int, default=5)
     p.add_argument("--ffn-dim", type=int, default=None,
                    help="default: 4 * embed-dim")
-    p.add_argument("--dropout", type=float, default=0.1)
-    p.add_argument("--max-len", type=int, default=512)
+    p.add_argument("--dropout", type=dropout_rate, default=0.1)
+    p.add_argument("--max-len", type=positive_int, default=512)
     p.add_argument("--attention", choices=ATTENTION_MODES, default="contact")
     p.add_argument("--no-positional", action="store_true",
                    help="disable sinusoidal positional encodings")
@@ -292,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--log", default=None, help="epoch CSV (default: <checkpoint>.log.csv)")
     _add_model_flags(p)
-    p.add_argument("--lr", type=float, default=1e-4)
+    p.add_argument("--lr", type=finite_non_negative_float, default=1e-4)
     p.add_argument("--batch-size", type=positive_int, default=64)
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--patience", type=int, default=20)
@@ -326,6 +338,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.subcommand == "embed" and args.split != "all" and not args.manifest:
         parser.error("embed with --split other than 'all' needs --manifest")
+    if args.subcommand == "train" and args.embed_dim % args.heads:
+        parser.error(f"--heads {args.heads} does not divide --embed-dim {args.embed_dim}")
     _print_config(args)
     try:
         return args.func(args)

@@ -20,7 +20,6 @@ from .contacts import ContactMap, deserialize_contacts, serialize_contacts
 
 ALPHABET = "ACDEFGHIKLMNPQRSTVWY"
 TOKEN_OF = {aa: i + 1 for i, aa in enumerate(ALPHABET)}
-PAD_ID = 0
 
 ATTENTION_MODES = ("contact", "full")  # contact-masked, or sequence-only
 

@@ -8,8 +8,9 @@ classifier head. One per-pair attention mask (true = may not attend)
 decides which keys each query sees: the diagonal always, pad keys never.
 
 Everything between the embedding and the pooling runs on the batch's T
-real tokens, packed into (T, d) by pack(), with one attention call per
-group of equal-length sequences; pooling scatters them back to (B, L, d).
+real tokens, packed into (T, d) by pack(), with one batched attention
+call per group of equal-length sequences, each group given by its
+(count, n, n) disallow block; pooling scatters them back to (B, L, d).
 """
 
 from __future__ import annotations
@@ -132,15 +133,16 @@ def count_parameters(config: ModelConfig) -> int:
     return sum(math.prod(shape) for shape in param_shapes(config).values())
 
 
-def pack(batch) -> tuple[tuple[np.ndarray, np.ndarray], list]:
+def pack(batch) -> tuple[tuple[np.ndarray, np.ndarray], list[np.ndarray]]:
     """Where an EncodedBatch's T real tokens go in the packed (T, d) stream.
 
     Sequences are ordered stably by length and their real tokens laid end
     to end, so each group of equal-length sequences is one contiguous
-    slice. Returns (index, groups): packed token t is batch row index[0][t],
-    position index[1][t]; groups lists (start, count, n, disallow) per
-    length, shortest first, where disallow holds the leading (n, n) blocks
-    of the group's attention masks, as ad.masked_attention takes them.
+    slice. Returns (index, blocks): packed token t is batch row index[0][t],
+    position index[1][t]; blocks holds one (count, n, n) array per length,
+    shortest first, the leading n x n squares of that group's attention
+    masks. In order they tile the T packed rows, as ad.masked_attention
+    takes them.
     """
     lengths = (~batch.key_padding_mask).sum(axis=1)
     order = np.argsort(lengths, kind="stable")
@@ -149,47 +151,43 @@ def pack(batch) -> tuple[tuple[np.ndarray, np.ndarray], list]:
     starts = np.cumsum(sorted_lengths) - sorted_lengths
     cols = np.arange(rows.size) - np.repeat(starts, sorted_lengths)
     values, firsts, counts = np.unique(sorted_lengths, return_index=True, return_counts=True)
-    groups = [(int(starts[i]), int(c), int(n), batch.attention_masks[order[i:i + c], :n, :n])
-              for n, i, c in zip(values, firsts, counts) if n > 0]
-    return (rows, cols), groups
+    blocks = [batch.attention_masks[order[i:i + c], :n, :n]
+              for n, i, c in zip(values, firsts, counts)]
+    return (rows, cols), blocks
 
 
 def multi_head_attention(
     x: Tensor,
-    groups: list,
+    blocks: list[np.ndarray],
     params: dict[str, Parameter],
     n_heads: int,
     prefix: str = "attn",
 ) -> Tensor:
     """Masked multi-head self-attention over packed states x (T, d); n_heads divides d.
 
-    groups is pack's: each sequence attends within itself only,
+    blocks is pack's: each sequence attends within itself only,
     and a key its disallow block marks true gets attention weight exactly 0.
     """
-    t, d = x.shape
-    dh = d // n_heads
+    def proj(name: str, t: Tensor) -> Tensor:
+        return ad.linear(t, params[f"{prefix}.{name}.weight"].tensor,
+                         params[f"{prefix}.{name}.bias"].tensor)
 
-    def heads(name: str) -> Tensor:
-        return ad.reshape(ad.linear(x, params[f"{prefix}.{name}.weight"].tensor,
-                                    params[f"{prefix}.{name}.bias"].tensor), (t, n_heads, dh))
-
-    ctx = ad.masked_attention(heads("q"), heads("k"), heads("v"), groups, 1.0 / math.sqrt(dh))
-    return ad.linear(ad.reshape(ctx, (t, d)), params[f"{prefix}.out.weight"].tensor,
-                     params[f"{prefix}.out.bias"].tensor)
+    ctx = ad.masked_attention(proj("q", x), proj("k", x), proj("v", x), blocks, n_heads)
+    return proj("out", ctx)
 
 
 def encoder_layers_forward(
     x: Tensor,
-    groups: list,
+    blocks: list[np.ndarray],
     config: ModelConfig,
     params: dict[str, Parameter],
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Run the post-norm layer stack on packed states x (T, d) with pack's groups."""
+    """Run the post-norm layer stack on packed states x (T, d) with pack's blocks."""
     for i in range(config.n_layers):
         pre = f"layers.{i}"
-        attn = multi_head_attention(x, groups, params, config.n_heads, prefix=f"{pre}.attn")
+        attn = multi_head_attention(x, blocks, params, config.n_heads, prefix=f"{pre}.attn")
         x = ad.layer_norm(ad.add(x, ad.dropout(attn, config.dropout, rng, train_mode)),
                           params[f"{pre}.ln1.scale"].tensor, params[f"{pre}.ln1.shift"].tensor)
         hidden = ad.relu(ad.linear(x, params[f"{pre}.ffn.w1.weight"].tensor,
@@ -223,7 +221,7 @@ def encoder_forward(
     if {name: p.tensor.shape for name, p in params.items()} != param_shapes(config):
         raise ConfigMismatch("params do not match the parameter layout of the config")
 
-    index, groups = pack(batch)
+    index, blocks = pack(batch)
     embed = params["embed.weight"].tensor
     x = ad.mul(ad.embedding(embed, tokens[index]), math.sqrt(config.embed_dim))
     if config.use_positional:
@@ -231,7 +229,7 @@ def encoder_forward(
         x = ad.add(x, table[index[1]])
     x = ad.dropout(x, config.dropout, rng, train_mode)
 
-    x = encoder_layers_forward(x, groups, config, params, train_mode, rng)
+    x = encoder_layers_forward(x, blocks, config, params, train_mode, rng)
     states = ad.scatter(x, index, (b, l))
     pooled = ad.masked_mean(states, ~batch.key_padding_mask)
     logits = ad.linear(pooled, params["classifier.weight"].tensor,

@@ -12,6 +12,7 @@ patience budget.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,11 +37,10 @@ class TrainConfig:
     patience: int = 20
     seed: int = 0
     class_weighting: bool = True
-    weight_decay: float = 0.01
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ValueError(f"lr must be >= 0, got {self.lr}")
+        if not 0 <= self.lr < math.inf:
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
@@ -192,7 +192,7 @@ def train(
                     _dump_divergence(f"{checkpoint_path}.divergence.json",
                                      epoch, batch_index, loss_value, params)
                 raise Divergence(f"non-finite {bad} at epoch {epoch}, batch {batch_index}")
-            adam_step(params, opt_state, lr=cfg.lr, weight_decay=cfg.weight_decay)
+            adam_step(params, opt_state, lr=cfg.lr)
             w_batch = float(weights[batch.labels].sum())
             total_wnll += loss_value * w_batch
             total_w += w_batch

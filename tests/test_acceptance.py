@@ -72,15 +72,15 @@ def test_mask_locality():
                       if rng.random() < 0.35)
         cmap = ContactMap(n, pairs)
         entry = Entry("loc", "A" * n, cmap, 0)
-        _, groups = pack(batch_encode([entry]))
+        _, blocks = pack(batch_encode([entry]))
         dense = cmap.dense()
 
         x = rng.standard_normal((n, cfg.embed_dim))  # one sequence: packed rows are positions
-        base = encoder_layers_forward(Tensor(x), groups, cfg, params)
+        base = encoder_layers_forward(Tensor(x), blocks, cfg, params)
         for j in range(n):
             bumped = x.copy()
             bumped[j] += 0.05 * rng.standard_normal(cfg.embed_dim) + 0.05
-            out = encoder_layers_forward(Tensor(bumped), groups, cfg, params)
+            out = encoder_layers_forward(Tensor(bumped), blocks, cfg, params)
             delta = np.abs(out.data - base.data).max(axis=-1)
             for i in range(n):
                 if dense[i, j]:

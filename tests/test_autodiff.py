@@ -252,38 +252,41 @@ def dense_masked_softmax_(s, disallow):
     return s
 
 
-def dense_attention(q, k, v, g, groups, scale, softmax_=dense_masked_softmax_):
+def dense_attention(q, k, v, g, blocks, n_heads, softmax_=dense_masked_softmax_):
     """The dense masked_attention the compact op replaced, in plain numpy.
 
-    Per group it keeps the whole (count, H, n, n) weight block; returns
+    Per block it keeps the whole (count, H, n, n) weight array; returns
     the output and the q, k and v gradients for the output gradient g.
     """
-    c = np.asarray(scale, dtype=q.dtype)
-
-    def heads(a, start, count, n):
-        return a[start:start + count * n].reshape(count, n, *a.shape[1:]).transpose(0, 2, 1, 3)
-
-    out, gq, gk, gv = np.zeros_like(v), np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)
-    for start, count, n, disallow in groups:
-        qg, kg, vg, gg = (heads(a, start, count, n) for a in (q, k, v, g))
+    c = np.asarray(1.0 / math.sqrt(q.shape[1] // n_heads), dtype=q.dtype)
+    out, gq, gk, gv = (np.zeros(a.shape, a.dtype) for a in (v, q, k, v))
+    first = 0
+    for disallow in blocks:
+        count, n, _ = disallow.shape
+        rows = slice(first, first + count * n)
+        first = rows.stop
+        # (count, H, n, dh) views of the block's rows; writes to out and the gradients land
+        qg, kg, vg, gg, og, gqg, gkg, gvg = (
+            a[rows].reshape(count, n, n_heads, -1).transpose(0, 2, 1, 3)
+            for a in (q, k, v, g, out, gq, gk, gv))
         p = qg @ np.swapaxes(kg, -1, -2)
         p *= c
         softmax_(p, disallow[:, None])
-        heads(out, start, count, n)[...] = p @ vg
+        og[...] = p @ vg
         gs = gg @ np.swapaxes(vg, -1, -2)
         gs -= (gs * p).sum(axis=-1, keepdims=True)
         gs *= p
         gs *= c
-        heads(gq, start, count, n)[...] = gs @ kg
-        heads(gk, start, count, n)[...] = np.swapaxes(np.swapaxes(qg, -1, -2) @ gs, -1, -2)
-        heads(gv, start, count, n)[...] = np.swapaxes(p, -1, -2) @ gg
+        gqg[...] = gs @ kg
+        gkg[...] = np.swapaxes(np.swapaxes(qg, -1, -2) @ gs, -1, -2)
+        gvg[...] = np.swapaxes(p, -1, -2) @ gg
     return out, gq, gk, gv
 
 
-def fused_attention(q, k, v, g, groups, scale):
+def fused_attention(q, k, v, g, blocks, n_heads):
     """ad.masked_attention's output and q, k and v gradients for the output gradient g."""
     leaves = [Tensor(a, requires_grad=True) for a in (q, k, v)]
-    out = ad.masked_attention(*leaves, groups, scale)
+    out = ad.masked_attention(*leaves, blocks, n_heads)
     out.backward(g)
     return out.data, *(t.grad for t in leaves)
 
@@ -298,7 +301,7 @@ class TestMaskedSoftmaxOracle:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("scale", [1.0, 100.0])
     @pytest.mark.parametrize("seed", range(4))
-    def test_bit_identical_to_old_kernel(self, monkeypatch, dtype, scale, seed):
+    def test_bit_identical_to_old_kernel(self, dtype, scale, seed):
         """On rows that allow at least one key, the -inf kernel gives the old
         kernel's outputs and gradients bit for bit: masked_softmax directly,
         and masked_attention against the dense computation on the old kernel."""
@@ -309,22 +312,21 @@ class TestMaskedSoftmaxOracle:
         disallow[..., np.arange(l), rng.integers(0, l, size=l)] = False  # one key per row
         scores = (q @ np.swapaxes(k, -1, -2)) * dtype(scale)
         g_scores = rng.standard_normal(scores.shape).astype(dtype)
-        # the packed op sees (B * L, H, dh) rows, as one group spanning them all
-        groups = [(0, b, l, disallow[:, 0])]
-        packed = [a.transpose(0, 2, 1, 3).reshape(b * l, h, dh) for a in (q, k, v, g)]
-        assert_bit_identical(fused_attention(*packed, groups, scale / math.sqrt(dh)),
-                             dense_attention(*packed, groups, scale / math.sqrt(dh),
-                                             old_masked_softmax_), dtype)
+        # the packed op sees (B * L, H * dh) rows, as one block spanning them all;
+        # scaling q scales its scores
+        packed = [a.transpose(0, 2, 1, 3).reshape(b * l, h * dh)
+                  for a in (q * dtype(scale), k, v, g)]
+        assert_bit_identical(fused_attention(*packed, [disallow[:, 0]], h),
+                             dense_attention(*packed, [disallow[:, 0]], h, old_masked_softmax_),
+                             dtype)
 
-        def run():
-            logits = Tensor(scores, requires_grad=True)
-            p = ad.masked_softmax(logits, disallow)
-            p.backward(g_scores)
-            return [p.data, logits.grad, ad._masked_softmax_(scores.copy(), disallow)]
-
-        new = run()
-        monkeypatch.setattr(ad, "_masked_softmax_", old_masked_softmax_)
-        assert_bit_identical(new, run(), dtype)
+        logits = Tensor(scores, requires_grad=True)
+        p = ad.masked_softmax(logits, disallow)
+        p.backward(g_scores)
+        expected = old_masked_softmax_(scores.copy(), disallow)
+        inner = (g_scores * expected).sum(axis=-1, keepdims=True)
+        assert_bit_identical([p.data, logits.grad], [expected, expected * (g_scores - inner)],
+                             dtype)
 
     def test_row_that_allows_no_key_is_nan(self):
         with np.errstate(invalid="ignore"):
@@ -344,16 +346,15 @@ class TestMaskedAttention:
     def test_gradient_with_padded_query_row(self):
         rng = np.random.default_rng(15)
         # two sequences of 5 tokens, 2 heads, packed as rows 0-4 and 5-9
-        q, k, v = rand64(rng, 10, 2, 3), rand64(rng, 10, 2, 3), rand64(rng, 10, 2, 4)
+        q, k, v = rand64(rng, 10, 2 * 3), rand64(rng, 10, 2 * 3), rand64(rng, 10, 2 * 4)
         disallow = rng.random((2, 5, 5)) < 0.4
         disallow[1, 3, :] = True  # a query row like a pad's: it attends only itself
         disallow[:, np.arange(5), np.arange(5)] = False  # every query keeps itself
-        groups = [(0, 2, 5, disallow)]
-        err = ad.grad_check(lambda: to_scalar(ad.masked_attention(q, k, v, groups, 0.5)),
+        err = ad.grad_check(lambda: to_scalar(ad.masked_attention(q, k, v, [disallow], 2)),
                             [q, k, v])
         assert err < GRAD_TOL
 
-        out = ad.masked_attention(q, k, v, groups, 0.5)
+        out = ad.masked_attention(q, k, v, [disallow], 2)
         assert np.array_equal(out.data[8], v.data[8])
         for t in (q, k, v):
             t.zero_grad()
@@ -363,18 +364,18 @@ class TestMaskedAttention:
     def test_gradient_over_groups_of_several_lengths(self):
         """grad_check in float64 over a packed stream of lengths 1, 3, 3 and 5."""
         rng = np.random.default_rng(17)
-        q, k, v = rand64(rng, 12, 2, 3), rand64(rng, 12, 2, 3), rand64(rng, 12, 2, 4)
-        groups = []
-        for start, count, n in ((0, 1, 1), (1, 2, 3), (7, 1, 5)):
+        q, k, v = rand64(rng, 12, 2 * 3), rand64(rng, 12, 2 * 3), rand64(rng, 12, 2 * 4)
+        blocks = []
+        for count, n in ((1, 1), (2, 3), (1, 5)):
             disallow = rng.random((count, n, n)) < 0.5
             disallow[:, np.arange(n), np.arange(n)] = False
-            groups.append((start, count, n, disallow))
-        err = ad.grad_check(lambda: to_scalar(ad.masked_attention(q, k, v, groups, 0.7)),
+            blocks.append(disallow)
+        err = ad.grad_check(lambda: to_scalar(ad.masked_attention(q, k, v, blocks, 2)),
                             [q, k, v])
         assert err < GRAD_TOL
 
         # the length-1 sequence attends only itself, whatever its batchmates hold
-        out = ad.masked_attention(q, k, v, groups, 0.7)
+        out = ad.masked_attention(q, k, v, blocks, 2)
         assert np.array_equal(out.data[0], v.data[0])
         q.zero_grad()
         to_scalar(out).backward()
@@ -384,86 +385,84 @@ class TestMaskedAttention:
         rng = np.random.default_rng(16)
         b, h, l, dh = 3, 4, 9, 5
 
-        def heads():
-            # packed rows (B * L, H, dh); the composite sees them as (B, H, L, dh)
-            return rng.standard_normal((b * l, h, dh)).astype(np.float32)
+        def projection():
+            # packed rows (B * L, H * dh); the composite sees them as (B, H, L, dh)
+            return rng.standard_normal((b * l, h * dh)).astype(np.float32)
 
         def unpacked(a):
             return a.reshape(b, l, h, dh).transpose(0, 2, 1, 3)
 
-        q, k, v = heads(), heads(), heads()
+        q, k, v = projection(), projection(), projection()
         disallow = rng.random((b, 1, l, l)) < 0.5
         disallow[0, :, -2:, :] = disallow[0, :, :, -2:] = True  # two padded positions
         disallow[:, :, np.arange(l), np.arange(l)] = False  # ... that keep their diagonal
-        g = rng.standard_normal((b * l, h, dh)).astype(np.float32)
-        scale = 1.0 / math.sqrt(dh)
+        g = rng.standard_normal((b * l, h * dh)).astype(np.float32)
 
         leaves = [Tensor(a, requires_grad=True) for a in (q, k, v)]
-        out = ad.masked_attention(*leaves, [(0, b, l, disallow[:, 0])], scale)
+        out = ad.masked_attention(*leaves, [disallow[:, 0]], h)
         out.backward(g)
         fused = [unpacked(a) for a in (out.data, *(t.grad for t in leaves))]
         leaves = [Tensor(unpacked(a), requires_grad=True) for a in (q, k, v)]
-        out = self.composite(*leaves, disallow, scale)
+        out = self.composite(*leaves, disallow, 1.0 / math.sqrt(dh))
         out.backward(np.ascontiguousarray(unpacked(g)))
         for ours, reference in zip(fused, [out.data] + [t.grad for t in leaves], strict=True):
             assert ours.dtype == np.float32
             assert np.array_equal(ours, reference)
 
-
     @staticmethod
-    def layout(rng, shapes, density, gap=0):
-        """Groups of (count, n), gap rows apart, whose masks allow a key with probability
-        density besides the diagonal; returns (T, groups)."""
-        groups, start = [], gap
+    def layout(rng, shapes, density):
+        """One block per (count, n), whose masks allow a key with probability density
+        besides the diagonal; returns (T, blocks)."""
+        blocks = []
         for count, n in shapes:
             disallow = rng.random((count, n, n)) >= density
             disallow[:, np.arange(n), np.arange(n)] = False
-            groups.append((start, count, n, disallow))
-            start += count * n + gap
-        return start, groups
+            blocks.append(disallow)
+        return sum(count * n for count, n in shapes), blocks
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_matches_dense_reference(self, dtype):
         """Outputs and q, k and v gradients equal the dense computation bit for bit."""
         rng = np.random.default_rng(18)
-        t, groups = self.layout(rng, [(3, 1), (2, 7), (1, 12), (4, 30)], 0.3, gap=1)
-        q, k, v, g = (rng.standard_normal((t, 4, 8)).astype(dtype) for _ in range(4))
-        assert_bit_identical(fused_attention(q, k, v, g, groups, 0.35),
-                             dense_attention(q, k, v, g, groups, 0.35), dtype)
+        t, blocks = self.layout(rng, [(3, 1), (2, 7), (1, 12), (4, 30)], 0.3)
+        q, k, v, g = (rng.standard_normal((t, 4 * 8)).astype(dtype) for _ in range(4))
+        assert_bit_identical(fused_attention(q, k, v, g, blocks, 4),
+                             dense_attention(q, k, v, g, blocks, 4), dtype)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_matches_dense_reference_on_random_layouts(self, dtype, data):
         shapes = data.draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 20)),
-                                    min_size=1, max_size=3), label="(count, n) per group")
+                                    min_size=1, max_size=3), label="(count, n) per block")
         # 0: each query attends only itself; 1: every key (full mode)
         density = data.draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]), label="density")
         h, dh = data.draw(st.integers(1, 3), label="heads"), data.draw(st.integers(1, 4), label="dh")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        t, groups = self.layout(rng, shapes, density, gap=data.draw(st.integers(0, 2), label="gap"))
-        q, k, v, g = (rng.standard_normal((t, h, dh)).astype(dtype) for _ in range(4))
-        assert_bit_identical(fused_attention(q, k, v, g, groups, 1.0 / math.sqrt(dh)),
-                             dense_attention(q, k, v, g, groups, 1.0 / math.sqrt(dh)), dtype)
+        t, blocks = self.layout(rng, shapes, density)
+        q, k, v, g = (rng.standard_normal((t, h * dh)).astype(dtype) for _ in range(4))
+        assert_bit_identical(fused_attention(q, k, v, g, blocks, h),
+                             dense_attention(q, k, v, g, blocks, h), dtype)
 
     def test_query_that_allows_no_key_raises_naming_its_group(self):
         rng = np.random.default_rng(19)
-        t, groups = self.layout(rng, [(1, 2), (2, 3)], 0.5)
-        groups[1][3][1, 2, :] = True  # the second sequence's last query allows no key
-        q = rand64(rng, t, 2, 3)
-        with pytest.raises(ValueError, match="group 1 "):
-            ad.masked_attention(q, q, q, groups, 1.0)
+        t, blocks = self.layout(rng, [(1, 2), (2, 3)], 0.5)
+        blocks[1][1, 2, :] = True  # the second sequence's last query allows no key
+        q = rand64(rng, t, 2 * 3)
+        with pytest.raises(ValueError, match="block 1 "):
+            ad.masked_attention(q, q, q, blocks, 2)
 
     @pytest.mark.parametrize("group", [
-        (0, 2, 3, np.zeros((2, 3, 4), bool)),  # disallow not (count, n, n)
-        (0, 2, 3, np.zeros((1, 3, 3), bool)),
-        (2, 2, 3, np.zeros((2, 3, 3), bool)),  # rows 2-7 of 7
-        (-1, 1, 3, np.zeros((1, 3, 3), bool)),
+        np.zeros((2, 3, 4), bool),  # 6 rows, but not (count, n, n)
+        np.zeros((6, 1, 1, 1), bool),
+        np.zeros((1, 3, 3), bool),  # rows 0-2 of 6
+        np.zeros((3, 3, 3), bool),  # rows 0-8 of 6
     ])
     def test_group_that_does_not_fit_raises(self, group):
-        q = rand64(np.random.default_rng(20), 7, 2, 3)
-        with pytest.raises(ShapeMismatch, match="group 0 "):
-            ad.masked_attention(q, q, q, [group], 1.0)
+        """A group's block must be (count, n, n), and the blocks must tile the rows."""
+        q = rand64(np.random.default_rng(20), 6, 2 * 3)
+        with pytest.raises(ShapeMismatch, match="blocks "):
+            ad.masked_attention(q, q, q, [group], 2)
 
 
 class TestWeightedCrossEntropy:
@@ -540,13 +539,23 @@ class TestShapeErrors:
 
     def test_linear_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            ad.linear(t64(np.zeros((2, 3))), t64(np.zeros((4, 5))))
+            ad.linear(t64(np.zeros((2, 3))), t64(np.zeros((4, 5))), t64(np.zeros(5)))
+
+    def test_linear_bias_mismatch(self):
+        with pytest.raises(ShapeMismatch, match="bias"):
+            ad.linear(t64(np.zeros((2, 3))), t64(np.zeros((3, 5))), t64(np.zeros(4)))
 
     def test_masked_attention_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            ad.masked_attention(t64(np.zeros((2, 1, 3))), t64(np.zeros((2, 1, 4))),
-                                t64(np.zeros((2, 1, 3))), [(0, 1, 2, np.zeros((1, 2, 2), bool))],
-                                1.0)
+            ad.masked_attention(t64(np.zeros((2, 3))), t64(np.zeros((2, 4))),
+                                t64(np.zeros((2, 3))), [np.zeros((1, 2, 2), bool)], 1)
+
+    @pytest.mark.parametrize("n_heads", [0, 3, 4])
+    def test_masked_attention_heads_must_divide_width(self, n_heads):
+        # q and k are 4 wide and v 6 wide: 2 heads divide both, 0, 3 and 4 do not
+        q, v = t64(np.zeros((2, 4))), t64(np.zeros((2, 6)))
+        with pytest.raises(ShapeMismatch, match="heads"):
+            ad.masked_attention(q, q, v, [np.zeros((1, 2, 2), bool)], n_heads)
 
     def test_masked_mean_mismatch(self):
         with pytest.raises(ShapeMismatch):

@@ -450,8 +450,20 @@ class TestExitCodes:
                     "--out", tmp_path / "m.json"]) == 2
 
     @pytest.mark.parametrize("flag, value", [
-        ("--heads", 0), ("--layers", -1), ("--max-len", 0), ("--ffn-dim", 0),
+        ("--lr", "-1"), ("--lr", "nan"), ("--lr", "inf"),
+        ("--dropout", "1.5"), ("--dropout", "1"), ("--dropout", "-0.1"),
+        ("--max-len", "0"), ("--heads", "0"), ("--heads", "3"),  # 3 does not divide 256
     ])
+    def test_out_of_range_train_flag_is_usage_error(self, pipeline_dir, tmp_path, flag, value):
+        out = tmp_path / "out"
+        out.mkdir()
+        with pytest.raises(SystemExit) as exc:
+            run(["train", "--data", pipeline_dir, "--manifest", pipeline_dir / "manifest.json",
+                 "--checkpoint", out / "x.ckpt", "--epochs", 1, f"{flag}={value}"])
+        assert exc.value.code == 1
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("flag, value", [("--layers", -1), ("--ffn-dim", 0)])
     def test_impossible_model_size_is_data_error(self, pipeline_dir, tmp_path, flag, value):
         checkpoint = tmp_path / "x.ckpt"
         assert run(["train", "--data", pipeline_dir,

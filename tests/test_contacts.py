@@ -24,28 +24,28 @@ def brute_force_pairs(positions, threshold):
         for j in range(i + 1, len(pos)):
             d = float(np.sqrt(((pos[i] - pos[j]) ** 2).sum()))
             if d <= threshold:
-                pairs.append((i, j))
-    return tuple(pairs)
+                pairs.append([i, j])
+    return pairs
 
 
 class TestBuildContactMap:
     def test_close_pair_is_contact(self):
         cmap = build_contact_map([(0, 0, 0), (5, 0, 0)])
-        assert (0, 1) in cmap.pairs
+        assert cmap.ij.tolist() == [[0, 1]]
 
     def test_far_pair_is_not_contact(self):
         cmap = build_contact_map([(0, 0, 0), (8.1, 0, 0)])
-        assert cmap.pairs == ()
+        assert cmap.ij.shape == (0, 2)
 
     def test_boundary_distance_counts_as_contact(self):
         cmap = build_contact_map([(0, 0, 0), (8.0, 0, 0)])
-        assert (0, 1) in cmap.pairs
+        assert cmap.ij.tolist() == [[0, 1]]
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(42)
         pos = rng.uniform(0, 30, size=(20, 3))
         cmap = build_contact_map(pos)
-        assert cmap.pairs == brute_force_pairs(pos, 8.0)
+        assert cmap.ij.tolist() == brute_force_pairs(pos, 8.0)
 
     def test_dense_is_symmetric_with_unit_diagonal(self):
         rng = np.random.default_rng(3)
@@ -65,8 +65,8 @@ class TestBuildContactMap:
     def test_threshold_monotonicity(self):
         rng = np.random.default_rng(5)
         pos = rng.uniform(0, 30, size=(25, 3))
-        small = set(build_contact_map(pos, threshold=6.0).pairs)
-        large = set(build_contact_map(pos, threshold=9.0).pairs)
+        small = set(map(tuple, build_contact_map(pos, threshold=6.0).ij.tolist()))
+        large = set(map(tuple, build_contact_map(pos, threshold=9.0).ij.tolist()))
         assert small <= large
 
     def test_rejects_non_finite(self):
@@ -79,7 +79,7 @@ class TestBuildContactMap:
 
     def test_single_point(self):
         cmap = build_contact_map([(1.0, 2.0, 3.0)])
-        assert cmap.n == 1 and cmap.pairs == ()
+        assert cmap.n == 1 and cmap.ij.shape == (0, 2)
 
     @pytest.mark.parametrize("threshold", [-8.0, 0.0, np.nan, np.inf])
     def test_rejects_threshold_outside_zero_to_inf(self, threshold):
@@ -127,7 +127,7 @@ class TestContactMapArray:
         cmap = ContactMap(n, chosen)
         assert cmap.ij.dtype == np.int32 and cmap.ij.shape == (len(set(chosen)), 2)
         assert not cmap.ij.flags.writeable
-        assert cmap.pairs == tuple(sorted(set(chosen)))
+        assert cmap.ij.tolist() == [list(pair) for pair in sorted(set(chosen))]
         mat = cmap.dense()
         assert np.array_equal(mat, mat.T) and mat.diagonal().all()
         assert int(np.triu(mat, 1).sum()) == len(set(chosen))
@@ -141,8 +141,7 @@ class TestContactMapArray:
         assert ContactMap(4, [(2, 3), (0, 1), (2, 3)]) == ref
         assert ContactMap(4) == ContactMap(4, ()) == ContactMap(4, np.empty((0, 2)))
         assert ContactMap(4) != ref and ContactMap(5, ref.ij) != ref
-        assert ref.pairs == ((0, 1), (2, 3)) and not ContactMap(4).pairs
-        assert all(type(v) is int for pair in ref.pairs for v in pair)
+        assert ref.ij.tolist() == [[0, 1], [2, 3]] and ContactMap(4).ij.shape == (0, 2)
 
     def test_rejects_non_pairs(self):
         for pairs in ([(0, 1, 2)], [0, 1], [(0.0, 1.0)], [("0", "1")]):
@@ -155,7 +154,7 @@ class TestContactMapArray:
         src = np.array([[0, 1], [1, 2]], dtype=np.int32)
         cmap = ContactMap(3, src)
         src[0, 1] = 2  # the caller's array stays writable and is not shared
-        assert cmap.pairs == ((0, 1), (1, 2))
+        assert cmap.ij.tolist() == [[0, 1], [1, 2]]
         with pytest.raises(ValueError):
             cmap.ij[0, 0] = 1
 

@@ -160,8 +160,7 @@ class TestMultiHeadAttention:
                                          n_layers=1, ffn_dim=4, dropout=0.0),
                              rng, dtype=np.float64)
         pfx = "layers.0.attn"
-        groups = [(0, 1, 2, np.zeros((1, 2, 2), dtype=bool))]
-        out = multi_head_attention(Tensor(x_np), groups, params,
+        out = multi_head_attention(Tensor(x_np), [np.zeros((1, 2, 2), dtype=bool)], params,
                                    n_heads=1, prefix=pfx)
 
         # explicit 2x2 recomputation
@@ -183,31 +182,46 @@ class TestMultiHeadAttention:
         cfg = tiny_config()
         entries = random_entries(rng, 5)
         batch = batch_encode(entries)
-        index, groups = pack(batch)
+        index, blocks = pack(batch)
         params = init_params(cfg, rng)
         x = ad.embedding(params["embed.weight"].tensor, batch.tokens[index])
 
-        # with v one-hot in each token's position (d_h = L), the fused op's
-        # output row t is query t's weights over the positions of its sequence
+        # with each head's v one-hot in each token's position (dh = L), the
+        # fused op's output row t is query t's weights over the positions of
+        # its sequence
         captured = []
         original = ad.masked_attention
-        l = batch.tokens.shape[1]
+        t, l, h = len(index[0]), batch.tokens.shape[1], cfg.n_heads
 
-        def capture(q, k, v, groups, scale):
-            onehot = np.zeros(v.shape[:2] + (l,), dtype=v.dtype)
-            onehot[np.arange(v.shape[0]), :, index[1]] = 1.0
-            captured.append(original(q, k, Tensor(onehot), groups, scale).data)
-            return original(q, k, v, groups, scale)
+        def capture(q, k, v, blocks, n_heads):
+            onehot = np.zeros((t, n_heads, l), dtype=v.dtype)
+            onehot[np.arange(t), :, index[1]] = 1.0
+            captured.append(original(q, k, Tensor(onehot.reshape(t, -1)), blocks, n_heads).data)
+            return original(q, k, v, blocks, n_heads)
 
         monkeypatch.setattr(ad, "masked_attention", capture)
-        multi_head_attention(x, groups, params, cfg.n_heads,
-                             prefix="layers.0.attn")
+        multi_head_attention(x, blocks, params, h, prefix="layers.0.attn")
         (weights,) = captured
+        weights = weights.reshape(t, h, l)
         lengths = (~batch.key_padding_mask).sum(axis=1)
         for row, bi, i in zip(weights, *index):
             assert np.allclose(row.sum(axis=-1), 1.0, atol=1e-6)
             assert (row[:, batch.attention_masks[bi, i]] == 0).all()
             assert (row[:, lengths[bi]:] == 0).all()  # no weight past its sequence's end
+
+    def test_projections_feed_the_attention_node_directly(self):
+        """Heads are views inside masked_attention: no reshape node between the
+        q, k and v projections and the attention node, or after it."""
+        rng = np.random.default_rng(11)
+        cfg = tiny_config()
+        params = init_params(cfg, rng)
+        x = Tensor(rng.standard_normal((5, cfg.embed_dim)).astype(np.float32))
+        out = multi_head_attention(x, [np.zeros((1, 5, 5), dtype=bool)], params, cfg.n_heads,
+                                   prefix="layers.0.attn")
+        ctx = out._parents[0]
+        assert ctx.shape == x.shape
+        assert [p._parents[:2] for p in ctx._parents] == [
+            (x, params[f"layers.0.attn.{name}.weight"].tensor) for name in "qkv"]
 
 
 class TestEncoderForward:
@@ -271,10 +285,10 @@ class TestEncoderForward:
         params = init_params(cfg, rng, dtype=np.float64)
         entries = random_entries(rng, 1, length_range=(5, 6), contact_prob=0.0)
         batch = batch_encode(entries)
-        groups = pack(batch)[1]
+        blocks = pack(batch)[1]
 
         def states_for(x_np):
-            return encoder_layers_forward(Tensor(x_np), groups, cfg, params).data
+            return encoder_layers_forward(Tensor(x_np), blocks, cfg, params).data
 
         x = rng.standard_normal((batch.tokens.shape[1], cfg.embed_dim))
         base = states_for(x)
@@ -311,15 +325,15 @@ class TestEncoderForward:
         entries = random_entries(rng, 1, length_range=(6, 7), contact_prob=0.4)
         batch = batch_encode(entries)
         n = int((~batch.key_padding_mask[0]).sum())
-        groups = pack(batch)[1]
+        blocks = pack(batch)[1]
         dense = entries[0].contact_map.dense()
 
         x = rng.standard_normal((n, cfg.embed_dim))
-        base = encoder_layers_forward(Tensor(x), groups, cfg, params)
+        base = encoder_layers_forward(Tensor(x), blocks, cfg, params)
         for j in range(n):
             bumped = x.copy()
             bumped[j] += 0.05
-            out = encoder_layers_forward(Tensor(bumped), groups, cfg, params)
+            out = encoder_layers_forward(Tensor(bumped), blocks, cfg, params)
             delta = np.abs(out.data - base.data).max(axis=-1)
             for i in range(n):
                 if dense[i, j]:
@@ -373,6 +387,23 @@ def padded_forward(batch: EncodedBatch, config: ModelConfig, params) -> tuple[Te
 
 
 class TestPackedForward:
+    def test_pack_blocks_are_the_mask_squares_tiling_the_rows(self):
+        rng = np.random.default_rng(31)
+        batch = batch_encode(random_entries(rng, 9, length_range=(1, 6)))
+        (rows, cols), blocks = pack(batch)
+        lengths = (~batch.key_padding_mask).sum(axis=1)
+        assert [block.shape[1] for block in blocks] == sorted(set(lengths))  # shortest first
+        start = 0
+        for block in blocks:
+            count, n, _ = block.shape
+            assert block.shape == (count, n, n)
+            for m in range(count):
+                seq = slice(start + m * n, start + (m + 1) * n)
+                assert (rows[seq] == rows[seq][0]).all() and (cols[seq] == np.arange(n)).all()
+                assert np.array_equal(block[m], batch.attention_masks[rows[seq][0], :n, :n])
+            start += count * n
+        assert start == len(rows) == lengths.sum()
+
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_padded_oracle_with_gradients(self, seed):
         rng = np.random.default_rng([30, seed])

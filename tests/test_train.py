@@ -150,6 +150,11 @@ class TestTrainingLoop:
         assert len(snapshots) == bad_step
         assert state_bytes() == (snapshots[-1] if snapshots else before)
 
+    @pytest.mark.parametrize("lr", [-1.0, math.nan, math.inf])
+    def test_rejects_negative_or_non_finite_lr(self, lr):
+        with pytest.raises(ValueError, match="lr must be finite and >= 0"):
+            TrainConfig(lr=lr)
+
     def test_rejects_empty_sets(self):
         entries = overfit_dataset(4, 4, length=6)
         with pytest.raises(ValueError):
@@ -389,4 +394,4 @@ class TestTopologyDatasetContract:
     def test_topologies_differ_by_class(self):
         train_set, _, _ = topology_dataset(8, 4, 4, length=10, seed=0)
         maps = {e.label: e.contact_map for e in train_set}
-        assert len({m.pairs for m in maps.values()}) == 4
+        assert len({m.ij.tobytes() for m in maps.values()}) == 4
