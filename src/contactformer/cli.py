@@ -90,12 +90,6 @@ def finite_positive_float(text: str) -> float:
     return float(text)
 
 
-def finite_non_negative_float(text: str) -> float:
-    if not 0 <= float(text) < float("inf"):
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
-    return float(text)
-
-
 def positive_int(text: str) -> int:
     if int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
@@ -105,12 +99,6 @@ def positive_int(text: str) -> int:
 def unit_fraction(text: str) -> float:
     if not 0 <= float(text) <= 1:
         raise argparse.ArgumentTypeError(f"must be a number in [0, 1], got {text!r}")
-    return float(text)
-
-
-def dropout_rate(text: str) -> float:
-    if not 0 <= float(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be a number in [0, 1), got {text!r}")
     return float(text)
 
 
@@ -189,8 +177,12 @@ def _load_splits(data_dir, manifest_path=None) -> tuple[dict[str, list[Entry]], 
     return splits, hash_text(label_text), label_text
 
 
-def _model_config_from_args(args, n_classes: int) -> ModelConfig:
-    return ModelConfig(
+# --- train -----------------------------------------------------------------
+
+def _train_configs(args, n_classes: int) -> tuple[ModelConfig, TrainConfig]:
+    """The configs train's flags describe. Their checks are the only range checks
+    of those flags: each raises ValueError for a value out of range."""
+    model_config = ModelConfig(
         n_classes=n_classes,
         embed_dim=args.embed_dim,
         n_heads=args.heads,
@@ -201,15 +193,6 @@ def _model_config_from_args(args, n_classes: int) -> ModelConfig:
         attention_mode=args.attention,
         use_positional=not args.no_positional,
     )
-
-
-# --- train -----------------------------------------------------------------
-
-def cmd_train(args) -> int:
-    splits, label_hash, label_text = _load_splits(args.data, args.manifest)
-    label_index = LabelIndex.from_text(label_text)
-
-    model_config = _model_config_from_args(args, n_classes=len(label_index))
     train_config = TrainConfig(
         lr=args.lr,
         batch_size=args.batch_size,
@@ -218,6 +201,14 @@ def cmd_train(args) -> int:
         seed=args.seed,
         class_weighting=not args.no_class_weights,
     )
+    return model_config, train_config
+
+
+def cmd_train(args) -> int:
+    splits, label_hash, label_text = _load_splits(args.data, args.manifest)
+    label_index = LabelIndex.from_text(label_text)
+
+    model_config, train_config = _train_configs(args, n_classes=len(label_index))
     result = train(model_config, splits["train"], splits["val"], train_config,
                    checkpoint_path=args.checkpoint, label_index_hash=label_hash,
                    verbose=True)
@@ -264,12 +255,12 @@ def cmd_embed(args) -> int:
 
 def _add_model_flags(p: argparse.ArgumentParser):
     p.add_argument("--embed-dim", type=int, choices=(128, 256), default=256)
-    p.add_argument("--heads", type=positive_int, default=8)
+    p.add_argument("--heads", type=int, default=8)
     p.add_argument("--layers", type=int, default=5)
     p.add_argument("--ffn-dim", type=int, default=None,
                    help="default: 4 * embed-dim")
-    p.add_argument("--dropout", type=dropout_rate, default=0.1)
-    p.add_argument("--max-len", type=positive_int, default=512)
+    p.add_argument("--dropout", type=float, default=0.1)
+    p.add_argument("--max-len", type=int, default=512)
     p.add_argument("--attention", choices=ATTENTION_MODES, default="contact")
     p.add_argument("--no-positional", action="store_true",
                    help="disable sinusoidal positional encodings")
@@ -304,8 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--log", default=None, help="epoch CSV (default: <checkpoint>.log.csv)")
     _add_model_flags(p)
-    p.add_argument("--lr", type=finite_non_negative_float, default=1e-4)
-    p.add_argument("--batch-size", type=positive_int, default=64)
+    p.add_argument("--lr", type=float, default=1e-4)
+    p.add_argument("--batch-size", type=int, default=64)
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--patience", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
@@ -338,8 +329,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.subcommand == "embed" and args.split != "all" and not args.manifest:
         parser.error("embed with --split other than 'all' needs --manifest")
-    if args.subcommand == "train" and args.embed_dim % args.heads:
-        parser.error(f"--heads {args.heads} does not divide --embed-dim {args.embed_dim}")
+    if args.subcommand == "train":
+        try:
+            _train_configs(args, n_classes=1)  # the one field taken from the data
+        except ValueError as exc:
+            parser.error(str(exc))
     _print_config(args)
     try:
         return args.func(args)

@@ -44,6 +44,14 @@ class CheckpointError(ValueError):
     """Checkpoint file is unreadable or fails validation."""
 
 
+def require_ints(config, **lows: int):
+    """Raise ValueError unless each named field of config is an integer >= its bound."""
+    for name, low in lows.items():
+        value = getattr(config, name)
+        if not hasattr(value, "__index__") or value < low:  # what operator.index takes
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     n_classes: int
@@ -60,12 +68,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.ffn_dim is None:
             object.__setattr__(self, "ffn_dim", 4 * self.embed_dim)
-        sizes = dict(n_classes=1, embed_dim=1, n_heads=1, ffn_dim=1, max_len=1, vocab_size=1,
-                     n_layers=0)
-        for name, low in sizes.items():
-            value = getattr(self, name)
-            if not hasattr(value, "__index__") or value < low:  # what operator.index takes
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        require_ints(self, n_classes=1, embed_dim=1, n_heads=1, ffn_dim=1, max_len=1,
+                     vocab_size=1, n_layers=0)
         if self.embed_dim % self.n_heads != 0:
             raise ValueError(f"embed_dim {self.embed_dim} not divisible by n_heads {self.n_heads}")
         if not 0.0 <= self.dropout < 1.0:

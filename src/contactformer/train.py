@@ -21,7 +21,7 @@ from . import autodiff as ad
 from .autodiff import zero_grads
 from .data import Entry, batch_encode, compute_class_weights
 from .metrics import MetricsReport, full_report
-from .model import ModelConfig, encoder_forward, init_params, save_checkpoint
+from .model import ModelConfig, encoder_forward, init_params, require_ints, save_checkpoint
 from .optim import AdamState, adam_step
 
 
@@ -41,8 +41,7 @@ class TrainConfig:
     def __post_init__(self):
         if not 0 <= self.lr < math.inf:
             raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        require_ints(self, batch_size=1, max_epochs=1, patience=1, seed=0)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,15 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from contactformer import cli
 from contactformer.data import SplitManifest, load_entries
+from contactformer.model import ModelConfig
+from contactformer.train import TrainConfig
 
 from conftest import BAD_HEADERS, HUGE_HEADER_LENGTHS, rewrite_checkpoint_header, set_header_length
 
@@ -386,6 +389,25 @@ class TestTrainEvaluateEmbed:
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
+class _Loaded(Exception):
+    """Raised by a stub loader: train got past its flag checks."""
+
+
+# train flag -> (config, field, values around the field's bounds)
+TRAIN_FLAGS = {
+    "--lr": ("train", "lr", st.sampled_from([-1.0, 0.0, 1e-3, math.nan, math.inf])),
+    "--dropout": ("model", "dropout", st.sampled_from([-0.1, 0.0, 0.5, 1.0, math.nan])),
+    "--heads": ("model", "n_heads", st.integers(-1, 9)),  # 3, 5, 6, 7, 9 do not divide 256
+    "--max-len": ("model", "max_len", st.integers(-1, 2)),
+    "--layers": ("model", "n_layers", st.integers(-2, 2)),
+    "--ffn-dim": ("model", "ffn_dim", st.integers(-1, 2)),
+    "--epochs": ("train", "max_epochs", st.integers(-1, 2)),
+    "--patience": ("train", "patience", st.integers(-1, 2)),
+    "--seed": ("train", "seed", st.integers(-2, 2)),
+    "--batch-size": ("train", "batch_size", st.integers(-1, 2)),
+}
+
+
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -453,23 +475,59 @@ class TestExitCodes:
         ("--lr", "-1"), ("--lr", "nan"), ("--lr", "inf"),
         ("--dropout", "1.5"), ("--dropout", "1"), ("--dropout", "-0.1"),
         ("--max-len", "0"), ("--heads", "0"), ("--heads", "3"),  # 3 does not divide 256
+        ("--layers", -1), ("--ffn-dim", 0), ("--epochs", "0"), ("--epochs", "-1"),
+        ("--patience", "0"), ("--patience", "-1"), ("--seed", "-1"),
     ])
-    def test_out_of_range_train_flag_is_usage_error(self, pipeline_dir, tmp_path, flag, value):
+    def test_out_of_range_train_flag_is_usage_error(self, pipeline_dir, tmp_path, monkeypatch,
+                                                    flag, value):
+        loads = []
+        monkeypatch.setattr(cli, "load_entries", loads.append)
         out = tmp_path / "out"
         out.mkdir()
         with pytest.raises(SystemExit) as exc:
             run(["train", "--data", pipeline_dir, "--manifest", pipeline_dir / "manifest.json",
                  "--checkpoint", out / "x.ckpt", "--epochs", 1, f"{flag}={value}"])
         assert exc.value.code == 1
+        assert loads == []
         assert list(out.iterdir()) == []
 
-    @pytest.mark.parametrize("flag, value", [("--layers", -1), ("--ffn-dim", 0)])
-    def test_impossible_model_size_is_data_error(self, pipeline_dir, tmp_path, flag, value):
-        checkpoint = tmp_path / "x.ckpt"
-        assert run(["train", "--data", pipeline_dir,
-                    "--manifest", pipeline_dir / "manifest.json",
-                    "--checkpoint", checkpoint, "--epochs", 1, flag, value]) == 2
-        assert not checkpoint.exists()
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(flags=st.fixed_dictionaries({flag: st.none() | values
+                                        for flag, (_, _, values) in TRAIN_FLAGS.items()}))
+    @example(flags={"--lr": 0.0, "--dropout": 0.0, "--heads": 1, "--max-len": 1, "--layers": 0,
+                    "--ffn-dim": 1, "--epochs": 1, "--patience": 1, "--seed": 0,
+                    "--batch-size": 1})
+    def test_configs_alone_decide_train_flag_ranges(self, tmp_path, flags):
+        given_flags = {flag: value for flag, value in flags.items() if value is not None}
+        kwargs = {"model": {"n_classes": 1}, "train": {}}
+        for flag, value in given_flags.items():
+            config, field, _ = TRAIN_FLAGS[flag]
+            kwargs[config][field] = value
+        try:
+            ModelConfig(**kwargs["model"])
+            TrainConfig(**kwargs["train"])
+            valid = True
+        except ValueError:
+            valid = False
+
+        loads = []
+
+        def loader(*args):
+            loads.append(args)
+            raise _Loaded
+
+        argv = ["train", "--data", tmp_path, "--manifest", tmp_path / "manifest.json",
+                "--checkpoint", tmp_path / "x.ckpt"]
+        argv += [f"{flag}={value}" for flag, value in given_flags.items()]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_load_splits", loader)
+            with pytest.raises(_Loaded if valid else SystemExit) as exc:
+                run(argv)
+        assert len(loads) == (1 if valid else 0)
+        if not valid:
+            assert exc.value.code == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_divergence_maps_to_exit_three(self, pipeline_dir, monkeypatch, tmp_path):
         from contactformer.train import Divergence

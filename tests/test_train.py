@@ -155,6 +155,18 @@ class TestTrainingLoop:
         with pytest.raises(ValueError, match="lr must be finite and >= 0"):
             TrainConfig(lr=lr)
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_epochs", 0), ("max_epochs", -1), ("patience", 0), ("patience", -1), ("seed", -1),
+        ("batch_size", 0), ("max_epochs", 2.0),
+    ])
+    def test_rejects_out_of_range_integer(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= "):
+            TrainConfig(**{field: value})
+
+    def test_smallest_integers_accepted(self):
+        cfg = TrainConfig(batch_size=1, max_epochs=1, patience=1, seed=0)
+        assert (cfg.batch_size, cfg.max_epochs, cfg.patience, cfg.seed) == (1, 1, 1, 0)
+
     def test_rejects_empty_sets(self):
         entries = overfit_dataset(4, 4, length=6)
         with pytest.raises(ValueError):
