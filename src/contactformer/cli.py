@@ -90,10 +90,17 @@ def finite_positive_float(text: str) -> float:
     return float(text)
 
 
-def positive_int(text: str) -> int:
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return int(text)
+def int_at_least(low: int):
+    """argparse type: an integer >= low."""
+    def parse(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return int(text)
+    parse.__name__ = "int"  # argparse's "invalid int value: 'x'"
+    return parse
+
+
+positive_int = int_at_least(1)
 
 
 def unit_fraction(text: str) -> float:
@@ -282,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("split", help="stratified train/val/test split")
     p.add_argument("--data", required=True, help="prep output directory")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int_at_least(0), default=0)
     p.add_argument("--train-frac", type=unit_fraction, default=0.7)
     p.add_argument("--val-frac", type=unit_fraction, default=0.5,
                    help="validation fraction of the non-train remainder")

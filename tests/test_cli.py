@@ -440,6 +440,16 @@ class TestExitCodes:
         assert exc.value.code == 1
         assert not manifest.exists()
 
+    def test_negative_split_seed_is_usage_error(self, pipeline_dir, tmp_path, monkeypatch):
+        loads = []
+        monkeypatch.setattr(cli, "load_entries", loads.append)
+        manifest = tmp_path / "manifest.json"
+        with pytest.raises(SystemExit) as exc:
+            run(["split", "--data", pipeline_dir, "--out", manifest, "--seed=-1"])
+        assert exc.value.code == 1
+        assert loads == []
+        assert not manifest.exists()
+
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_non_positive_workers_is_usage_error(self, corpus_dir, tmp_path, workers):
         out = tmp_path / "out"
