@@ -215,6 +215,8 @@ def batch_encode(
         raise EmptyDataset("cannot encode an empty batch")
     if attention_mode not in ATTENTION_MODES:
         raise ValueError(f"unknown attention mode {attention_mode!r}")
+    if max_len < 1:
+        raise ValueError(f"max_len must be >= 1, got {max_len}")
 
     rows = [tokenize(e.sequence)[:max_len] for e in entries]
     b, l = len(rows), max(map(len, rows))

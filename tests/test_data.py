@@ -184,6 +184,12 @@ class TestBatchEncode:
         assert mask[0, 2]      # non-contact stays masked
         assert not mask.diagonal().any()
 
+    @pytest.mark.parametrize("max_len", [0, -3])
+    def test_rejects_max_len_below_one(self, max_len):
+        # -3 would slice [:-3] and drop each sequence's last 3 residues
+        with pytest.raises(ValueError, match="max_len must be >= 1"):
+            batch_encode([entry("a", "ACDEF"), entry("b", "ACDEFGH")], max_len=max_len)
+
     def test_full_mode_is_all_attendable_within_valid_region(self):
         batch = batch_encode([entry("a", "AC"), entry("b", "ACD")],
                              attention_mode="full")
