@@ -1,11 +1,14 @@
 """Minimal reverse-mode autodiff on dense numpy arrays.
 
-Exactly the operator set the encoder needs: matmul / linear, embedding
-lookup, layer norm, ReLU, inverted dropout, residual add, packed masked
-attention, scatter, masked mean, and weighted cross-entropy, plus masked
-softmax on its own. Each op records a backward closure on the output
-tensor; ``Tensor.backward()`` replays them in reverse topological order
-and accumulates into ``.grad`` buffers.
+The encoder and its loss call linear, embedding lookup, mul, residual
+add, layer norm, ReLU, inverted dropout, packed masked attention,
+scatter, masked mean and weighted cross-entropy. No package code calls
+:func:`matmul`, :func:`masked_softmax`, :func:`reshape` or
+:func:`transpose`: they stay for the benchmark tracer (perfbench/), which
+wraps them by name, and for the tests, which use them as oracles. Each
+op records a backward closure on the output tensor;
+``Tensor.backward()`` replays them in reverse topological order and
+accumulates into ``.grad`` buffers.
 
 A graph is differentiated once. The sweep frees it as it passes: once a
 node's closure has returned its parents' gradients, the node drops its
