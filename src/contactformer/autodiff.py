@@ -5,17 +5,29 @@ add, layer norm, ReLU, inverted dropout, packed masked attention,
 scatter, masked mean and weighted cross-entropy. No package code calls
 :func:`matmul`, :func:`masked_softmax`, :func:`reshape` or
 :func:`transpose`: they stay for the benchmark tracer (perfbench/), which
-wraps them by name, and for the tests, which use them as oracles. Each
-op records a backward closure on the output tensor;
-``Tensor.backward()`` replays them in reverse topological order and
-accumulates into ``.grad`` buffers.
+wraps them by name, and for the tests, which use them as oracles.
 
-A graph is differentiated once. The sweep frees it as it passes: once a
-node's closure has returned its parents' gradients, the node drops its
-parents and the closure, and with them the arrays the closure kept for
-backward (attention weights, dropout masks, layer-norm statistics), so
-nothing of a training step outlives its backward pass. A second
-``backward()`` through the same graph raises RuntimeError.
+The graph is made of nodes, not tensors. An op whose operands need a
+gradient gives its output a :class:`Node`: its parents' nodes (a leaf
+Tensor stands for itself) and a backward closure that captures only the
+arrays it reads, never a parent Tensor. So an intermediate's data dies
+with its last Python reference unless a closure reads it:
+
+- ``linear`` keeps its input (a view), ``mul`` and ``matmul`` both
+  operands, ``masked_attention`` q, k, v and its compact weights;
+- ``relu`` and ``masked_softmax`` keep their output (ReLU's sign is its
+  input's); ``layer_norm`` keeps ``xhat`` and ``1/std``;
+- ``dropout`` keeps a bool keep mask and rebuilds the scaled mask from it;
+- ``add``, ``embedding``, ``scatter``, ``reshape`` and ``transpose``
+  keep shapes and indices, ``masked_mean`` its counts and
+  ``weighted_cross_entropy`` its log-probabilities.
+
+``Tensor.backward()`` runs the nodes in reverse topological order and
+accumulates into the leaves' ``.grad`` buffers. A graph is
+differentiated once: the sweep frees each node as it passes, once its
+closure has returned its parents' gradients, so nothing of a training
+step outlives its backward pass. A second ``backward()`` through the
+same graph raises RuntimeError.
 
 :func:`masked_attention` is the encoder's whole scaled, contact-masked
 attention (scores, masked softmax, weighted sum of values) as one node,
@@ -71,10 +83,26 @@ def no_grad():
         _grad_enabled = prev
 
 
-class Tensor:
-    """Dense array plus an optional gradient buffer of the same shape."""
+class Node:
+    """A recorded op: its parents' nodes (a leaf stands for itself) and a closure
+    from its output's gradient to one (parent, gradient) pair per parent."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("_parents", "_backward")
+    requires_grad = True
+
+    def __init__(self, parents: tuple, grads: Callable[[np.ndarray], tuple]):
+        self._parents = parents
+        self._backward = lambda g: zip(parents, grads(g))
+
+
+class Tensor:
+    """Dense array plus an optional gradient buffer of the same shape.
+
+    An op output that is recorded has a Node; _parents and _backward
+    read (and _backward replaces) the node's.
+    """
+
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data)
@@ -82,8 +110,19 @@ class Tensor:
             self.data = self.data.astype(np.float32)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], None] | None = None
+        self._node: Node | None = None
+
+    @property
+    def _parents(self) -> tuple:
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backward(self):
+        return None if self._node is None else self._node._backward
+
+    @_backward.setter
+    def _backward(self, backward):
+        self._node._backward = backward
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -120,9 +159,10 @@ class Tensor:
             raise ShapeMismatch(f"backward: seed {np.shape(grad)} for a tensor of {self.shape}")
 
         # Iterative topological order over the recorded graph.
-        topo: list[Tensor] = []
+        root = self._node or self
+        topo: list[Node | Tensor] = []
         visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[Node | Tensor, bool]] = [(root, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -137,13 +177,13 @@ class Tensor:
                     stack.append((parent, False))
 
         # Popping drops topo's reference to each node as the sweep passes it.
-        grads: dict[int, np.ndarray] = {id(self): grad}
+        grads: dict[int, np.ndarray] = {id(root): grad}
         while topo:
             node = topo.pop()
             g = grads.pop(id(node), None)
             if g is None:
                 continue
-            if node._backward is None:
+            if isinstance(node, Tensor):
                 if node.requires_grad:
                     node._accumulate(g)  # leaf
                 continue
@@ -174,12 +214,13 @@ class Parameter:
     tensor: Tensor
 
 
-def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
+def _make(data: np.ndarray, parents: tuple[Tensor, ...], grads) -> Tensor:
+    """The op output; recorded with a Node when a parent requires grad. grads maps
+    the output's gradient to one gradient per parent, in order."""
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = parents
-        out._backward = backward
+        out._node = Node(tuple(p._node or p for p in parents), grads)
     return out
 
 
@@ -195,42 +236,37 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a: Tensor, b) -> Tensor:
     """a + b with broadcasting; a non-Tensor b is a constant."""
+    sa = a.shape
     if not isinstance(b, Tensor):
         c = np.asarray(b, dtype=a.data.dtype)
-        return _make(a.data + c, (a,), lambda g: ((a, _unbroadcast(g, a.shape)),))
-
-    def backward(g):
-        return ((a, _unbroadcast(g, a.shape)), (b, _unbroadcast(g, b.shape)))
-
-    return _make(a.data + b.data, (a, b), backward)
+        return _make(a.data + c, (a,), lambda g: (_unbroadcast(g, sa),))
+    sb = b.shape
+    return _make(a.data + b.data, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def mul(a: Tensor, b) -> Tensor:
     """a * b with broadcasting; a non-Tensor b is a constant."""
+    av, sa = a.data, a.shape
     if not isinstance(b, Tensor):
-        c = np.asarray(b, dtype=a.data.dtype)
-        return _make(a.data * c, (a,), lambda g: ((a, _unbroadcast(g * c, a.shape)),))
-
-    def backward(g):
-        return (
-            (a, _unbroadcast(g * b.data, a.shape)),
-            (b, _unbroadcast(g * a.data, b.shape)),
-        )
-
-    return _make(a.data * b.data, (a, b), backward)
+        c = np.asarray(b, dtype=av.dtype)
+        return _make(av * c, (a,), lambda g: (_unbroadcast(g * c, sa),))
+    bv = b.data
+    return _make(av * bv, (a, b),
+                 lambda g: (_unbroadcast(g * bv, sa), _unbroadcast(g * av, bv.shape)))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Stacked matrix product with broadcasting over leading axes."""
-    if a.data.shape[-1] != b.data.shape[-2]:
+    av, bv = a.data, b.data
+    if av.shape[-1] != bv.shape[-2]:
         raise ShapeMismatch(f"matmul: {a.shape} @ {b.shape}")
 
     def backward(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return ((a, _unbroadcast(ga, a.shape)), (b, _unbroadcast(gb, b.shape)))
+        ga = g @ np.swapaxes(bv, -1, -2)
+        gb = np.swapaxes(av, -1, -2) @ g
+        return _unbroadcast(ga, av.shape), _unbroadcast(gb, bv.shape)
 
-    return _make(a.data @ b.data, (a, b), backward)
+    return _make(av @ bv, (a, b), backward)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -238,12 +274,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     d_in, d_out = w.shape
     if x.shape[-1] != d_in or b.shape != (d_out,):
         raise ShapeMismatch(f"linear: x {x.shape}, w {w.shape}, bias {b.shape}")
-    x2 = x.data.reshape(-1, d_in)
-    y = (x2 @ w.data + b.data).reshape(*x.shape[:-1], d_out)
+    x2, wd, x_shape = x.data.reshape(-1, d_in), w.data, x.shape
+    y = (x2 @ wd + b.data).reshape(*x_shape[:-1], d_out)
 
     def backward(g):
         g2 = g.reshape(-1, d_out)
-        return ((x, (g2 @ w.data.T).reshape(x.shape)), (w, x2.T @ g2), (b, g2.sum(axis=0)))
+        return (g2 @ wd.T).reshape(x_shape), x2.T @ g2, g2.sum(axis=0)
 
     return _make(y, (x, w, b), backward)
 
@@ -254,19 +290,20 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise ShapeMismatch(f"embedding ids out of range for table {table.shape}")
 
+    shape, dtype = table.shape, table.dtype
+
     def backward(g):
-        gt = np.zeros_like(table.data)
+        gt = np.zeros(shape, dtype)
         np.add.at(gt, ids, g)
-        return ((table, gt),)
+        return (gt,)
 
     return _make(table.data[ids], (table,), backward)
 
 
 def relu(x: Tensor) -> Tensor:
-    def backward(g):
-        return ((x, g * (x.data > 0)),)
-
-    return _make(np.maximum(x.data, 0), (x,), backward)
+    """max(x, 0); backward reads the output's sign, which is the input's."""
+    y = np.maximum(x.data, 0)
+    return _make(y, (x,), lambda g: (g * (y > 0),))
 
 
 def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
@@ -279,15 +316,16 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5) -> Te
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv_std
-    y = xhat * scale.data + shift.data
+    sd = scale.data
+    y = xhat * sd + shift.data
 
     def backward(g):
-        dxhat = g * scale.data
+        dxhat = g * sd
         m1 = dxhat.mean(axis=-1, keepdims=True)
         m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
         gx = (dxhat - m1 - xhat * m2) * inv_std
         axes = tuple(range(g.ndim - 1))
-        return ((x, gx), (scale, (g * xhat).sum(axis=axes)), (shift, g.sum(axis=axes)))
+        return gx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
 
     return _make(y, (x, scale, shift), backward)
 
@@ -295,7 +333,8 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5) -> Te
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, train: bool) -> Tensor:
     """Inverted dropout; identity when rate == 0 or train is False.
 
-    The keep mask is drawn from rng in x's dtype (float32 draws in training).
+    The keep mask is drawn from rng in x's dtype (float32 draws in training)
+    and kept as bool; backward rebuilds the scaled float mask from it.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
@@ -303,12 +342,13 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, train: bool
         return x
     if rng is None:
         raise ValueError("training-mode dropout needs an explicit rng")
-    mask = (rng.random(x.shape, dtype=x.data.dtype) >= rate).astype(x.data.dtype) / (1.0 - rate)
+    dtype = x.data.dtype
+    keep = rng.random(x.shape, dtype=dtype) >= rate
 
-    def backward(g):
-        return ((x, g * mask),)
+    def mask():
+        return keep.astype(dtype) / (1.0 - rate)
 
-    return _make(x.data * mask, (x,), backward)
+    return _make(x.data * mask(), (x,), lambda g: (g * mask(),))
 
 
 def masked_softmax(logits: Tensor, disallow: np.ndarray) -> Tensor:
@@ -327,7 +367,7 @@ def masked_softmax(logits: Tensor, disallow: np.ndarray) -> Tensor:
 
     def backward(g):
         inner = (g * p).sum(axis=-1, keepdims=True)
-        return ((logits, p * (g - inner)),)
+        return (p * (g - inner),)
 
     return _make(p, (logits,), backward)
 
@@ -353,7 +393,7 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, blocks: Sequence[np.ndarra
     and ValueError for a block with a query that allows no key (the
     encoder's masks always allow the diagonal).
     """
-    h = n_heads
+    h, qd, kd, vd = n_heads, q.data, k.data, v.data
     if (q.data.ndim != 2 or k.shape != q.shape or v.data.ndim != 2 or v.shape[0] != q.shape[0]
             or h < 1 or q.shape[1] % h or v.shape[1] % h):
         raise ShapeMismatch(f"masked_attention: q {q.shape}, k {k.shape}, v {v.shape}, {h} heads")
@@ -380,7 +420,7 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, blocks: Sequence[np.ndarra
         """s.sum(-1) of an (H, count, n, n) block, repeated to line up with its (H, E) entries."""
         return np.repeat(s.sum(axis=-1).reshape(h, -1), degree, axis=1)
 
-    out = np.zeros(v.shape, dtype=v.data.dtype)
+    out = np.zeros(vd.shape, dtype=vd.dtype)
     weights = []
     for number in range(len(shapes)):
         index, degree = allowed(number)
@@ -388,8 +428,8 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, blocks: Sequence[np.ndarra
             raise ValueError(f"masked_attention: block {number} {shapes[number]} "
                              "has a query that allows no key")
         # a C-ordered (H, count, n, n) buffer, so that each head's scores are one flat run
-        s = np.matmul(heads(q.data, number), np.swapaxes(heads(k.data, number), -1, -2),
-                      out=np.empty((h, *shapes[number]), dtype=q.data.dtype))
+        s = np.matmul(heads(qd, number), np.swapaxes(heads(kd, number), -1, -2),
+                      out=np.empty((h, *shapes[number]), dtype=qd.dtype))
         dense = s.reshape(h, -1)
         w = np.take(dense, index, axis=1)
         w *= c
@@ -399,16 +439,16 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, blocks: Sequence[np.ndarra
         dense[:, index] = w
         w /= row_sums(s, degree)
         dense[:, index] = w
-        heads(out, number)[...] = s @ heads(v.data, number)
+        heads(out, number)[...] = s @ heads(vd, number)
         weights.append(w)
 
     def backward(g):
-        gq, gk, gv = (np.zeros(a.shape, dtype=a.dtype) for a in (q.data, k.data, v.data))
+        gq, gk, gv = (np.zeros(a.shape, dtype=a.dtype) for a in (qd, kd, vd))
         for number, w in enumerate(weights):
             index, degree = allowed(number)
-            qg, kg, vg, gg = (heads(a, number) for a in (q.data, k.data, v.data, g))
+            qg, kg, vg, gg = (heads(a, number) for a in (qd, kd, vd, g))
             # one dense buffer: the weight gradient gs, then p, then gs * p, then the score gradient
-            s = np.matmul(gg, np.swapaxes(vg, -1, -2), out=np.empty((h, *shapes[number]), q.dtype))
+            s = np.matmul(gg, np.swapaxes(vg, -1, -2), out=np.empty((h, *shapes[number]), qd.dtype))
             dense = s.reshape(h, -1)
             gw = np.take(dense, index, axis=1)
             s.fill(0)
@@ -421,7 +461,7 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, blocks: Sequence[np.ndarra
             dense[:, index] = gw
             heads(gq, number)[...] = s @ kg
             heads(gk, number)[...] = np.swapaxes(np.swapaxes(qg, -1, -2) @ s, -1, -2)
-        return ((q, gq), (k, gk), (v, gv))
+        return gq, gk, gv
 
     return _make(out, (q, k, v), backward)
 
@@ -451,7 +491,7 @@ def weighted_cross_entropy(logits: Tensor, labels: np.ndarray, class_weights: np
     def backward(g):
         p = np.exp(logp)
         p[np.arange(n), labels] -= 1.0
-        return ((logits, g * p * (w / w_total)[:, None]),)
+        return (g * p * (w / w_total)[:, None],)
 
     return _make(np.asarray(loss, dtype=logits.data.dtype), (logits,), backward)
 
@@ -468,8 +508,7 @@ def masked_mean(x: Tensor, keep: np.ndarray) -> Tensor:
     out = np.einsum("bld,bl->bd", x.data, kf) / counts[:, None]
 
     def backward(g):
-        gx = kf[:, :, None] * (g / counts[:, None])[:, None, :]
-        return ((x, gx),)
+        return (kf[:, :, None] * (g / counts[:, None])[:, None, :],)
 
     return _make(out, (x,), backward)
 
@@ -479,29 +518,18 @@ def scatter(x: Tensor, index: tuple[np.ndarray, ...], shape: Sequence[int]) -> T
     out = np.zeros((*shape, x.shape[-1]), dtype=x.data.dtype)
     out[index] = x.data
 
-    def backward(g):
-        return ((x, g[index]),)
-
-    return _make(out, (x,), backward)
+    return _make(out, (x,), lambda g: (g[index],))
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(shape)
-
-    def backward(g):
-        return ((x, g.reshape(x.shape)),)
-
-    return _make(x.data.reshape(shape), (x,), backward)
+    x_shape = x.shape
+    return _make(x.data.reshape(tuple(shape)), (x,), lambda g: (g.reshape(x_shape),))
 
 
 def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
     inverse = tuple(np.argsort(axes))
-
-    def backward(g):
-        return ((x, g.transpose(inverse)),)
-
-    return _make(x.data.transpose(axes), (x,), backward)
+    return _make(x.data.transpose(axes), (x,), lambda g: (g.transpose(inverse),))
 
 
 def zero_grads(params: Iterable[Parameter | Tensor]):

@@ -8,6 +8,7 @@ identical flags plus seed produce byte-identical primary outputs.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -186,29 +187,23 @@ def _load_splits(data_dir, manifest_path=None) -> tuple[dict[str, list[Entry]], 
 
 # --- train -----------------------------------------------------------------
 
+# the train flag that sets each ModelConfig and TrainConfig field
+_MODEL_FLAGS = {"embed_dim": "--embed-dim", "n_heads": "--heads", "n_layers": "--layers",
+                "ffn_dim": "--ffn-dim", "dropout": "--dropout", "max_len": "--max-len",
+                "attention_mode": "--attention"}
+_TRAIN_FLAGS = {"lr": "--lr", "batch_size": "--batch-size", "max_epochs": "--epochs",
+                "patience": "--patience", "seed": "--seed"}
+
+
 def _train_configs(args, n_classes: int) -> tuple[ModelConfig, TrainConfig]:
     """The configs train's flags describe. Their checks are the only range checks
     of those flags: each raises ValueError for a value out of range."""
-    model_config = ModelConfig(
-        n_classes=n_classes,
-        embed_dim=args.embed_dim,
-        n_heads=args.heads,
-        n_layers=args.layers,
-        ffn_dim=args.ffn_dim,
-        dropout=args.dropout,
-        max_len=args.max_len,
-        attention_mode=args.attention,
-        use_positional=not args.no_positional,
-    )
-    train_config = TrainConfig(
-        lr=args.lr,
-        batch_size=args.batch_size,
-        max_epochs=args.epochs,
-        patience=args.patience,
-        seed=args.seed,
-        class_weighting=not args.no_class_weights,
-    )
-    return model_config, train_config
+    def values(flags):
+        return {field: getattr(args, flag[2:].replace("-", "_")) for field, flag in flags.items()}
+
+    return (ModelConfig(n_classes=n_classes, use_positional=not args.no_positional,
+                        **values(_MODEL_FLAGS)),
+            TrainConfig(class_weighting=not args.no_class_weights, **values(_TRAIN_FLAGS)))
 
 
 def cmd_train(args) -> int:
@@ -296,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="manifest JSON path")
     p.set_defaults(func=cmd_split)
 
-    p = sub.add_parser("train", help="train and checkpoint at best val loss")
+    # main reports an out-of-range train setting under this parser's usage
+    p = parser.train = sub.add_parser("train", help="train and checkpoint at best val loss")
     p.add_argument("--data", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--checkpoint", required=True)
@@ -339,8 +335,9 @@ def main(argv=None) -> int:
     if args.subcommand == "train":
         try:
             _train_configs(args, n_classes=1)  # the one field taken from the data
-        except ValueError as exc:
-            parser.error(str(exc))
+        except ValueError as exc:  # reworded from config fields to the flags that set them
+            flags = _MODEL_FLAGS | _TRAIN_FLAGS
+            parser.train.error(re.sub(r"\w+", lambda m: flags.get(m[0], m[0]), str(exc)))
     _print_config(args)
     try:
         return args.func(args)

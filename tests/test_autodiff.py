@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from contactformer import autodiff as ad
 from contactformer.autodiff import ShapeMismatch, Tensor
@@ -75,6 +76,27 @@ class TestBackwardMachinery:
         with ad.no_grad():
             y = ad.mul(x, x)
         assert not y.requires_grad and y._backward is None
+
+    def test_a_replaced_backward_is_what_the_sweep_calls(self):
+        # the benchmark tracer (perfbench/tracing.py) times each node this way: it
+        # replaces out._backward as the op returns and reads parent.requires_grad
+        # on each (parent, grad) pair the replacement passes on
+        x, w = t64([1.0, -2.0]), t64([3.0, 0.5], requires_grad=False)
+        h = ad.mul(x, w)
+        original, calls = h._backward, []
+
+        def replacement(g):
+            pairs = list(original(g))
+            calls.append([(parent.requires_grad, grad.tolist()) for parent, grad in pairs])
+            return pairs
+
+        h._backward = replacement
+        assert h._backward is replacement
+        out = ad.add(h, 1.0)
+        del h  # the replacement lives on in the graph without its output tensor
+        out.backward(np.ones(2))
+        assert calls == [[(True, [3.0, 0.5]), (False, [1.0, -2.0])]]
+        assert x.grad.tolist() == [3.0, 0.5] and w.grad is None
 
 
 class TestOpGradients:
@@ -530,6 +552,42 @@ class TestDropout:
     def test_bad_rate(self):
         with pytest.raises(ValueError):
             ad.dropout(Tensor(np.ones(3)), 1.0, None, train=True)
+
+
+@st.composite
+def value_and_gradient(draw):
+    """An array and a gradient of one shape and float dtype, any float values:
+    signed zeros, infinities and NaNs included."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=6))
+    floats = st.floats(width=np.finfo(dtype).bits)
+    return tuple(draw(hnp.arrays(dtype, shape, elements=floats)) for _ in range(2))
+
+
+class TestKeptForBackward:
+    """The lean closures are bit for bit the forms they replace; .tobytes() also
+    tells signed zeros apart."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(xg=value_and_gradient())
+    @np.errstate(all="ignore")  # inf * 0 and the like are part of the domain
+    def test_relu_backward_from_the_output_sign(self, xg):
+        x, g = xg
+        [(_, grad)] = ad.relu(Tensor(x, requires_grad=True))._backward(g)
+        assert grad.dtype == x.dtype and grad.tobytes() == (g * (x > 0)).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(xg=value_and_gradient(), rate=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           seed=st.integers(0, 2**32 - 1))
+    @np.errstate(all="ignore")
+    def test_dropout_backward_from_a_bool_mask(self, xg, rate, seed):
+        x, g = xg
+        rng = np.random.default_rng(seed)
+        mask = (rng.random(x.shape, dtype=x.dtype) >= rate).astype(x.dtype) / (1.0 - rate)
+        out = ad.dropout(Tensor(x, requires_grad=True), rate, np.random.default_rng(seed), True)
+        [(_, grad)] = out._backward(g)
+        assert out.data.tobytes() == (x * mask).tobytes()
+        assert grad.dtype == x.dtype and grad.tobytes() == (g * mask).tobytes()
 
 
 class TestShapeErrors:

@@ -501,6 +501,23 @@ class TestExitCodes:
         assert loads == []
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--epochs", "0", "--epochs must be an integer >= 1, got 0"),
+        ("--layers", "-1", "--layers must be an integer >= 0, got -1"),
+        ("--heads", "3", "--embed-dim 256 not divisible by --heads 3"),
+        ("--lr", "nan", "--lr must be finite and >= 0, got nan"),
+    ])
+    def test_out_of_range_train_flag_is_named_under_train_usage(self, tmp_path, capsys, flag,
+                                                                 value, message):
+        with pytest.raises(SystemExit) as exc:
+            run(["train", "--data", tmp_path, "--manifest", tmp_path / "m.json",
+                 "--checkpoint", tmp_path / "x.ckpt", f"{flag}={value}"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: contactformer train ")
+        assert err.splitlines()[-1] == f"contactformer train: error: {message}"
+        assert list(tmp_path.iterdir()) == []
+
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(flags=st.fixed_dictionaries({flag: st.none() | values

@@ -209,17 +209,26 @@ class TestMultiHeadAttention:
             assert (row[:, batch.attention_masks[bi, i]] == 0).all()
             assert (row[:, lengths[bi]:] == 0).all()  # no weight past its sequence's end
 
-    def test_projections_feed_the_attention_node_directly(self):
+    def test_projections_feed_the_attention_node_directly(self, monkeypatch):
         """Heads are views inside masked_attention: no reshape node between the
         q, k and v projections and the attention node, or after it."""
         rng = np.random.default_rng(11)
         cfg = tiny_config()
         params = init_params(cfg, rng)
         x = Tensor(rng.standard_normal((5, cfg.embed_dim)).astype(np.float32))
+        original, made = ad.masked_attention, []
+
+        def recording(*args):
+            made.append(original(*args))
+            return made[-1]
+
+        monkeypatch.setattr(ad, "masked_attention", recording)
         out = multi_head_attention(x, [np.zeros((1, 5, 5), dtype=bool)], params, cfg.n_heads,
                                    prefix="layers.0.attn")
-        ctx = out._parents[0]
+        (ctx,) = made
         assert ctx.shape == x.shape
+        # graph parents are nodes; the leaves x and the weights stand for themselves
+        assert out._parents[0] is ctx._node
         assert [p._parents[:2] for p in ctx._parents] == [
             (x, params[f"layers.0.attn.{name}.weight"].tensor) for name in "qkv"]
 

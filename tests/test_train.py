@@ -294,16 +294,18 @@ def no_gc():
 
 
 class OutputRecorder:
-    """Weak references to the data of every tensor an autodiff op makes while .on is true."""
+    """Weak references to the data of every tensor an autodiff op makes while .on is
+    true, and the name of each op."""
 
     def __init__(self, monkeypatch):
-        self.refs, self.on = [], True
+        self.refs, self.ops, self.on = [], [], True
         make = ad._make
 
-        def recording(data, parents, backward):
-            out = make(data, parents, backward)
+        def recording(data, parents, grads):
+            out = make(data, parents, grads)
             if self.on:
                 self.refs.append(weakref.ref(out.data))
+                self.ops.append(grads.__qualname__.split(".")[0])  # e.g. "relu.<locals>.<lambda>"
             return out
 
         monkeypatch.setattr(ad, "_make", recording)
@@ -318,12 +320,25 @@ class TestAutodiffGraph:
         cfg = overfit_config(dropout=0.1)
         params = init_params(cfg, np.random.default_rng(0))
         batch = batch_encode(entries)
-        refs = OutputRecorder(monkeypatch).refs
+        recorder = OutputRecorder(monkeypatch)
+        refs = recorder.refs
         logits = encoder_forward(batch, cfg, params, train_mode=True,
                                  rng=np.random.default_rng(1))[0]
+        # after the forward pass, an op's output is alive only if a backward closure
+        # reads it: linear reads its input, masked_attention q, k and v, relu its
+        # output. layer_norm keeps its own xhat, dropout a bool mask; add and
+        # scatter keep shapes and indices, masked_mean its counts.
+        layer = [("linear", True)] * 3 + [
+            ("masked_attention", True), ("linear", False), ("dropout", False), ("add", False),
+            ("layer_norm", True), ("linear", False), ("relu", True), ("linear", False),
+            ("dropout", False), ("add", False), ("layer_norm", True)]
+        kept = [("embedding", False), ("mul", False), ("add", False), ("dropout", True),
+                *layer * cfg.n_layers]
+        kept[-1] = ("layer_norm", False)  # the last layer's output feeds scatter alone
+        kept += [("scatter", False), ("masked_mean", True), ("linear", True)]  # pooled, logits
+        assert [(op, r() is not None) for op, r in zip(recorder.ops, refs)] == kept
         loss = ad.weighted_cross_entropy(logits, batch.labels,
                                          compute_class_weights(batch.labels, cfg.n_classes))
-        assert len(refs) > 20 and all(r() is not None for r in refs)
         loss.backward()
         alive = [r() for r in refs if r() is not None]
         assert len(alive) == 2 and alive[0] is logits.data and alive[1] is loss.data
