@@ -8,9 +8,10 @@ families) and runs two consecutive steps of the default encoder (d=256,
 --batch-size chains and the second on the rest, with one Adam state and
 one dropout generator, as a training loop would: batch_encode, a
 train-mode forward pass, weighted cross-entropy, backward and an Adam
-update. After each step it prints the step's time and the process's
-peak RSS (ru_maxrss), so the second line shows what a loop holds across
-steps. The defaults, batch 64 and max_len 512, are the paper's
+update. After each step it prints the step's time, the process's peak
+RSS (ru_maxrss) and the minor page faults the step took (the ru_minflt
+delta), so the second step shows what a loop holds across steps and
+how many of its pages the allocator had to fault in again. The defaults, batch 64 and max_len 512, are the paper's
 configuration.
 
     python3 scripts/paper_step.py [--batch-size 64] [--max-len 512]
@@ -58,6 +59,7 @@ def main() -> int:
 
     finite = True
     for step in range(STEPS):
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         started = time.perf_counter()
         batch = batch_encode(entries[step * args.batch_size:(step + 1) * args.batch_size],
                              config.max_len, config.attention_mode)
@@ -69,12 +71,13 @@ def main() -> int:
         adam_step(params, opt_state, lr=1e-4)
         step_s = time.perf_counter() - started
 
-        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+        usage = resource.getrusage(resource.RUSAGE_SELF)
+        peak_mb = usage.ru_maxrss / 1024  # KiB on Linux
         real = int((~batch.key_padding_mask).sum())
         print(f"step {step + 1}: batch {len(batch.labels)}, max_len {args.max_len}: {real} real "
               f"tokens of {batch.tokens.size} slots; loss {loss.item():.4f}")
         print(f"step {step + 1}: {step_s:.2f} s (forward {forward_s:.2f} s), "
-              f"peak RSS {peak_mb:.0f} MB")
+              f"peak RSS {peak_mb:.0f} MB, {usage.ru_minflt - faults} minor page faults")
         finite = finite and bool(np.isfinite(loss.item()))
     return 0 if finite else 1
 

@@ -1,9 +1,10 @@
 """Minimal reverse-mode autodiff on dense numpy arrays.
 
-The encoder and its loss call linear, embedding lookup, mul, residual
-add, layer norm, ReLU, inverted dropout, packed masked attention,
-scatter, masked mean and weighted cross-entropy. No package code calls
-:func:`matmul`, :func:`masked_softmax`, :func:`reshape` or
+The encoder and its loss call linear (fused with a ReLU in
+:func:`linear_relu`), embedding lookup, mul, residual add, layer norm,
+inverted dropout, packed masked attention, scatter, masked mean and
+weighted cross-entropy. No package code calls :func:`matmul`,
+:func:`masked_softmax`, :func:`relu`, :func:`reshape` or
 :func:`transpose`: they stay for the benchmark tracer (perfbench/), which
 wraps them by name, and for the tests, which use them as oracles.
 
@@ -15,8 +16,8 @@ with its last Python reference unless a closure reads it:
 
 - ``linear`` keeps its input (a view), ``mul`` and ``matmul`` both
   operands, ``masked_attention`` q, k, v and its compact weights;
-- ``relu`` and ``masked_softmax`` keep their output (ReLU's sign is its
-  input's); ``layer_norm`` keeps ``xhat`` and ``1/std``;
+- ``relu``, ``linear_relu`` and ``masked_softmax`` keep their output
+  (ReLU's sign is its input's); ``layer_norm`` keeps ``xhat``, ``1/std``;
 - ``dropout`` keeps a bool keep mask and rebuilds the scaled mask from it;
 - ``add``, ``embedding``, ``scatter``, ``reshape`` and ``transpose``
   keep shapes and indices, ``masked_mean`` its counts and
@@ -28,6 +29,13 @@ differentiated once: the sweep frees each node as it passes, once its
 closure has returned its parents' gradients, so nothing of a training
 step outlives its backward pass. A second ``backward()`` through the
 same graph raises RuntimeError.
+
+Ops compute in the arrays they return: ``linear``, ``linear_relu``,
+``layer_norm`` and ``dropout`` allocate what they return or keep for
+backward and at most one scratch array, and run there, in place
+(``out=``, ``+=``), the same ufuncs in the same order as the whole-array
+expressions they replace. Rounding does not depend on where a result is
+stored, so results are bit-identical to those expressions.
 
 :func:`masked_attention` is the encoder's whole scaled, contact-masked
 attention (scores, masked softmax, weighted sum of values) as one node,
@@ -275,13 +283,24 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if x.shape[-1] != d_in or b.shape != (d_out,):
         raise ShapeMismatch(f"linear: x {x.shape}, w {w.shape}, bias {b.shape}")
     x2, wd, x_shape = x.data.reshape(-1, d_in), w.data, x.shape
-    y = (x2 @ wd + b.data).reshape(*x_shape[:-1], d_out)
+    y = x2 @ wd
+    y += b.data
 
     def backward(g):
         g2 = g.reshape(-1, d_out)
         return (g2 @ wd.T).reshape(x_shape), x2.T @ g2, g2.sum(axis=0)
 
-    return _make(y, (x, w, b), backward)
+    return _make(y.reshape(*x_shape[:-1], d_out), (x, w, b), backward)
+
+
+def linear_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """relu(linear(x, w, b)) as one node, the ReLU run in place on the product."""
+    out = linear(x, w, b)
+    y = np.maximum(out.data, 0, out=out.data)
+    if out._node is not None:
+        grads = out._backward
+        out._backward = lambda g: grads(g * (y > 0))
+    return out
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -311,21 +330,24 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5) -> Te
     d = x.shape[-1]
     if scale.shape != (d,) or shift.shape != (d,):
         raise ShapeMismatch(f"layer_norm: x {x.shape}, scale {scale.shape}, shift {shift.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv_std
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)  # centred, then scaled in place
+    y = np.multiply(xhat, xhat)  # squares first, then the output
+    inv_std = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv_std
     sd = scale.data
-    y = xhat * sd + shift.data
+    np.multiply(xhat, sd, out=y)
+    y += shift.data
 
     def backward(g):
-        dxhat = g * sd
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        gx = (dxhat - m1 - xhat * m2) * inv_std
+        gx = g * sd  # dxhat, then the input gradient
+        m1 = gx.mean(axis=-1, keepdims=True)
+        scratch = np.multiply(gx, xhat)
+        m2 = scratch.mean(axis=-1, keepdims=True)
+        gx -= m1
+        gx -= np.multiply(xhat, m2, out=scratch)
+        gx *= inv_std
         axes = tuple(range(g.ndim - 1))
-        return gx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
+        return gx, np.multiply(g, xhat, out=scratch).sum(axis=axes), g.sum(axis=axes)
 
     return _make(y, (x, scale, shift), backward)
 
@@ -343,12 +365,15 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, train: bool
     if rng is None:
         raise ValueError("training-mode dropout needs an explicit rng")
     dtype = x.data.dtype
-    keep = rng.random(x.shape, dtype=dtype) >= rate
+    draw = rng.random(x.shape, dtype=dtype)
+    keep = draw >= rate
 
-    def mask():
-        return keep.astype(dtype) / (1.0 - rate)
+    def times_mask(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """a * (keep as dtype / (1 - rate)), computed in out."""
+        return np.multiply(a, np.divide(keep, 1.0 - rate, out=out, dtype=dtype), out=out)
 
-    return _make(x.data * mask(), (x,), lambda g: (g * mask(),))
+    return _make(times_mask(x.data, draw), (x,),
+                 lambda g: (times_mask(g, np.empty(keep.shape, dtype)),))
 
 
 def masked_softmax(logits: Tensor, disallow: np.ndarray) -> Tensor:
@@ -420,7 +445,8 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, blocks: Sequence[np.ndarra
         """s.sum(-1) of an (H, count, n, n) block, repeated to line up with its (H, E) entries."""
         return np.repeat(s.sum(axis=-1).reshape(h, -1), degree, axis=1)
 
-    out = np.zeros(vd.shape, dtype=vd.dtype)
+    # np.empty: the blocks tile the rows, so one block writes each row (here and in backward)
+    out = np.empty(vd.shape, dtype=vd.dtype)
     weights = []
     for number in range(len(shapes)):
         index, degree = allowed(number)
@@ -443,7 +469,7 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, blocks: Sequence[np.ndarra
         weights.append(w)
 
     def backward(g):
-        gq, gk, gv = (np.zeros(a.shape, dtype=a.dtype) for a in (qd, kd, vd))
+        gq, gk, gv = (np.empty(a.shape, dtype=a.dtype) for a in (qd, kd, vd))
         for number, w in enumerate(weights):
             index, degree = allowed(number)
             qg, kg, vg, gg = (heads(a, number) for a in (qd, kd, vd, g))

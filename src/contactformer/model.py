@@ -188,18 +188,22 @@ def encoder_layers_forward(
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Run the post-norm layer stack on packed states x (T, d) with pack's blocks."""
+    """Run the post-norm layer stack on packed states x (T, d) with pack's blocks.
+
+    No intermediate outlives the op that reads it, so an eval pass holds little
+    more than x and the FFN's (T, ffn_dim) states (fewer heap pages to refault).
+    """
+    def add_norm(x: Tensor, y: Tensor, norm: str) -> Tensor:
+        return ad.layer_norm(ad.add(x, ad.dropout(y, config.dropout, rng, train_mode)),
+                             params[f"{norm}.scale"].tensor, params[f"{norm}.shift"].tensor)
+
     for i in range(config.n_layers):
         pre = f"layers.{i}"
-        attn = multi_head_attention(x, blocks, params, config.n_heads, prefix=f"{pre}.attn")
-        x = ad.layer_norm(ad.add(x, ad.dropout(attn, config.dropout, rng, train_mode)),
-                          params[f"{pre}.ln1.scale"].tensor, params[f"{pre}.ln1.shift"].tensor)
-        hidden = ad.relu(ad.linear(x, params[f"{pre}.ffn.w1.weight"].tensor,
-                                   params[f"{pre}.ffn.w1.bias"].tensor))
-        ff = ad.linear(hidden, params[f"{pre}.ffn.w2.weight"].tensor,
-                       params[f"{pre}.ffn.w2.bias"].tensor)
-        x = ad.layer_norm(ad.add(x, ad.dropout(ff, config.dropout, rng, train_mode)),
-                          params[f"{pre}.ln2.scale"].tensor, params[f"{pre}.ln2.shift"].tensor)
+        x = add_norm(x, multi_head_attention(x, blocks, params, config.n_heads, f"{pre}.attn"),
+                     f"{pre}.ln1")
+        w1, b1, w2, b2 = (params[f"{pre}.ffn.{n}"].tensor
+                          for n in ("w1.weight", "w1.bias", "w2.weight", "w2.bias"))
+        x = add_norm(x, ad.linear(ad.linear_relu(x, w1, b1), w2, b2), f"{pre}.ln2")
     return x
 
 
@@ -269,7 +273,7 @@ def save_checkpoint(
             fh.write(struct.pack("<IQ", CHECKPOINT_VERSION, len(header)))
             fh.write(header)
             for entry, p in zip(manifest, params.values()):
-                fh.write(p.tensor.data.astype(entry["dtype"], copy=False).tobytes())
+                fh.write(np.ascontiguousarray(p.tensor.data, dtype=entry["dtype"]))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -291,9 +295,9 @@ def load_checkpoint(
     when the manifest's (name, shape) list differs from param_shapes of
     its config; or when the header or the tensor data it describes is
     longer than the file, or the tensor data is followed by trailing
-    bytes. Sizes are checked against the file before anything of that
-    size is read. Version 1 files also load: their per-tensor "trainable"
-    field, always true, is ignored.
+    bytes (or the file shrinks while it is read). Sizes are checked against
+    the file before anything of that size is read. Version 1 files also
+    load: their per-tensor "trainable" field, always true, is ignored.
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -340,7 +344,9 @@ def load_checkpoint(
                                   f"the file holds {data_len}")
         params: dict[str, Parameter] = {}
         for (name, shape, dtype), n in zip(manifest, nbytes):
-            arr = np.frombuffer(fh.read(n), dtype=dtype).reshape(shape).copy()
+            arr = np.empty(shape, dtype=dtype)
+            if fh.readinto(arr) != n:
+                raise CheckpointError(f"truncated tensor data: {name!r} was cut short")
             params[name] = Parameter(name, Tensor(arr, requires_grad=True))
     return config, params, label_hash
 

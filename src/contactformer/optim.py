@@ -59,10 +59,16 @@ def adam_step(
         if weight_decay != 0.0:
             x *= 1.0 - lr * weight_decay
 
+        # lr * (m / bc1) / (sqrt(v / bc2) + eps): those ufuncs, in order, in two arrays
         m *= beta1
-        m += (1.0 - beta1) * g
+        step = np.multiply(1.0 - beta1, g)
+        m += step
         v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        m_hat = m / bc1
-        v_hat = v / bc2
-        x -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(x.dtype)
+        np.multiply(1.0 - beta2, np.multiply(g, g, out=step), out=step)
+        v += step
+        np.multiply(lr, np.divide(m, bc1, out=step), out=step)
+        denom = np.divide(v, bc2)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        step /= denom
+        x -= step.astype(x.dtype, copy=False)

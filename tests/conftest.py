@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,18 @@ CORPUS_DIR = REPO_ROOT / "data" / "corpus"
 def corpus_dir() -> Path:
     assert CORPUS_DIR.is_dir(), "bundled corpus missing; run scripts/make_corpus.py"
     return CORPUS_DIR
+
+
+def peak_allocation(f):
+    """f() and the peak bytes tracemalloc saw allocated while it ran, above what it
+    held when f started (numpy reports its array buffers to tracemalloc)."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        result = f()
+        return result, tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
 
 
 def tiny_config(**overrides) -> ModelConfig:

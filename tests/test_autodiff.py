@@ -9,6 +9,8 @@ from hypothesis.extra import numpy as hnp
 from contactformer import autodiff as ad
 from contactformer.autodiff import ShapeMismatch, Tensor
 
+from conftest import peak_allocation
+
 GRAD_TOL = 1e-4  # every differentiable op must beat this in f64
 
 
@@ -153,6 +155,13 @@ class TestOpGradients:
         rng = np.random.default_rng(6)
         x, w, b = rand64(rng, 2, 5, 3), rand64(rng, 3, 4), rand64(rng, 4)
         err = ad.grad_check(lambda: to_scalar(ad.linear(x, w, b)), [x, w, b])
+        assert err < GRAD_TOL
+
+    def test_linear_relu_away_from_kink(self):
+        rng = np.random.default_rng(6)
+        x, w, b = rand64(rng, 2, 5, 3), rand64(rng, 3, 4), rand64(rng, 4)
+        assert np.abs(x.data @ w.data + b.data).min() > 1e-2  # clear of the kink
+        err = ad.grad_check(lambda: to_scalar(ad.linear_relu(x, w, b)), [x, w, b])
         assert err < GRAD_TOL
 
     def test_embedding(self):
@@ -588,6 +597,130 @@ class TestKeptForBackward:
         [(_, grad)] = out._backward(g)
         assert out.data.tobytes() == (x * mask).tobytes()
         assert grad.dtype == x.dtype and grad.tobytes() == (g * mask).tobytes()
+
+
+def linear_before(x, w, b):
+    """linear's forward as one expression, as it was before it ran in place."""
+    return (x.reshape(-1, w.shape[0]) @ w + b).reshape(*x.shape[:-1], w.shape[1])
+
+
+def layer_norm_before(x, scale, shift, g, eps=1e-5):
+    """layer_norm's forward and backward as whole-array expressions, as they were
+    before they ran in place: y, then the x, scale and shift gradients."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv_std
+    y = xhat * scale + shift
+    dxhat = g * scale
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    gx = (dxhat - m1 - xhat * m2) * inv_std
+    axes = tuple(range(g.ndim - 1))
+    return y, gx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
+
+
+X, W, B, Y = ("lead", "in"), ("in", "out"), ("out",), ("lead", "out")  # linear's shapes
+D = ("in",)  # layer_norm's scale and shift
+
+
+@st.composite
+def float_arrays(draw, *shapes):
+    """A float dtype and one array per shape, any float values as in value_and_gradient.
+    A shape names its axes: "lead" is 0-2 leading axes, "in" and "out" one axis each."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    floats = st.floats(width=np.finfo(dtype).bits)
+    axes = {"lead": draw(hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4)),
+            "in": (draw(st.integers(1, 6)),), "out": (draw(st.integers(1, 6)),)}
+    return dtype, [draw(hnp.arrays(dtype, sum((axes[a] for a in shape), ()), elements=floats))
+                   for shape in shapes]
+
+
+class TestInPlaceKernels:
+    """linear, linear_relu and layer_norm compute in the arrays they return, with the
+    same ufuncs in the same order as the expressions they replace: bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(operands=float_arrays(X, W, B))
+    @np.errstate(all="ignore")
+    def test_linear_forward(self, operands):
+        dtype, (x, w, b) = operands
+        y = ad.linear(Tensor(x), Tensor(w), Tensor(b)).data
+        expected = linear_before(x, w, b)
+        assert y.dtype == dtype and y.shape == expected.shape
+        assert y.tobytes() == expected.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(operands=float_arrays(X, W, B, Y))
+    @np.errstate(all="ignore")
+    def test_linear_relu_is_relu_of_linear(self, operands):
+        dtype, (x, w, b, g) = operands
+        outputs = []
+        for f in (ad.linear_relu, lambda *a: ad.relu(ad.linear(*a))):
+            tensors = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+            out = f(*tensors)
+            out.backward(g)
+            outputs.append([out.data, *(t.grad for t in tensors)])
+        for fused, composed in zip(*outputs):
+            assert fused.dtype == dtype and fused.tobytes() == composed.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(operands=float_arrays(X, D, D, X))
+    @np.errstate(all="ignore")
+    def test_layer_norm_forward_and_backward(self, operands):
+        dtype, (x, scale, shift, g) = operands
+        tensors = [Tensor(a, requires_grad=True) for a in (x, scale, shift)]
+        out = ad.layer_norm(*tensors)
+        grads = [grad for _, grad in out._backward(g)]
+        for got, expected in zip([out.data, *grads], layer_norm_before(x, scale, shift, g)):
+            assert got.dtype == dtype and got.tobytes() == expected.tobytes()
+
+
+class TestAllocationBudget:
+    """An op allocates what it returns or keeps for backward, plus at most one
+    scratch array. Budgets count float32 arrays of the op's output (x's for
+    layer_norm backward), with 0.25 of slack for reduction buffers and small arrays."""
+
+    SLACK = 0.25
+
+    @pytest.fixture
+    def x(self):
+        rng = np.random.default_rng(0)
+        return Tensor(rng.standard_normal((512, 256)).astype(np.float32), requires_grad=True)
+
+    def assert_budget(self, f, units):
+        result, peak = peak_allocation(f)
+        out = result.data if isinstance(result, Tensor) else result[0][1]
+        assert peak <= (units + self.SLACK) * out.nbytes, peak / out.nbytes
+        return result
+
+    def test_linear_forward_allocates_its_output(self, x):
+        w = Tensor(np.ones((256, 256), np.float32), requires_grad=True)
+        b = Tensor(np.ones(256, np.float32), requires_grad=True)
+        self.assert_budget(lambda: ad.linear(x, w, b), 1)
+
+    def test_linear_relu_forward_allocates_its_output(self, x):
+        w = Tensor(np.ones((256, 1024), np.float32), requires_grad=True)
+        b = Tensor(np.ones(1024, np.float32), requires_grad=True)
+        self.assert_budget(lambda: ad.linear_relu(x, w, b), 1)
+
+    def test_layer_norm_forward_allocates_its_output_and_xhat(self, x):
+        ones = Tensor(np.ones(256, np.float32), requires_grad=True)
+        self.assert_budget(lambda: ad.layer_norm(x, ones, ones), 2)
+
+    def test_layer_norm_backward_allocates_gx_and_one_scratch(self, x):
+        ones = Tensor(np.ones(256, np.float32), requires_grad=True)
+        out, g = ad.layer_norm(x, ones, ones), np.ones_like(x.data)
+        self.assert_budget(lambda: list(out._backward(g)), 2)
+
+    def test_dropout_forward_output_is_its_draw_buffer(self, x):
+        rng = np.random.default_rng(1)
+        self.assert_budget(lambda: ad.dropout(x, 0.1, rng, True), 1.25)  # and the bool mask
+
+    def test_dropout_backward_allocates_its_gradient(self, x):
+        out, g = ad.dropout(x, 0.1, np.random.default_rng(1), True), np.ones_like(x.data)
+        self.assert_budget(lambda: list(out._backward(g)), 1)
 
 
 class TestShapeErrors:

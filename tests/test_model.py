@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import struct
 from dataclasses import asdict
 
@@ -30,8 +31,8 @@ from contactformer.model import (
     save_checkpoint,
 )
 
-from conftest import (BAD_HEADERS, HUGE_HEADER_LENGTHS, rewrite_checkpoint_header,
-                      set_header_length, tiny_config)
+from conftest import (BAD_HEADERS, HUGE_HEADER_LENGTHS, peak_allocation,
+                      rewrite_checkpoint_header, set_header_length, tiny_config)
 
 
 def random_entries(rng, n, length_range=(3, 10), n_classes=4, contact_prob=0.3):
@@ -538,6 +539,44 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
+
+    def test_file_cut_short_after_the_size_check_rejected(self, tmp_path, monkeypatch):
+        # the file loses 3 bytes between the size check and the reads
+        rng = np.random.default_rng(23)
+        cfg = tiny_config()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, cfg, init_params(cfg, rng))
+        path.write_bytes(path.read_bytes()[:-3])
+        fstat = os.fstat
+
+        def fstat_before_the_cut(fd):
+            fields = list(fstat(fd))
+            fields[6] += 3  # st_size
+            return os.stat_result(fields)
+
+        monkeypatch.setattr(os, "fstat", fstat_before_the_cut)
+        with pytest.raises(CheckpointError, match="truncated tensor data: 'classifier.bias'"):
+            load_checkpoint(path)
+
+    @pytest.fixture
+    def wide_params(self):
+        """A config whose largest tensors, the FFN's (256, 1024) float32 weights, take 1 MiB."""
+        cfg = tiny_config(embed_dim=256, n_heads=2, ffn_dim=1024)
+        return cfg, init_params(cfg, np.random.default_rng(24))
+
+    def test_save_makes_no_copy_of_a_tensor(self, tmp_path, wide_params):
+        cfg, params = wide_params
+        _, peak = peak_allocation(lambda: save_checkpoint(tmp_path / "model.ckpt", cfg, params))
+        assert peak <= 0.25 * max(p.tensor.data.nbytes for p in params.values())
+
+    def test_load_reads_each_tensor_into_its_array(self, tmp_path, wide_params):
+        cfg, params = wide_params
+        save_checkpoint(tmp_path / "model.ckpt", cfg, params)
+        (_, loaded, _), peak = peak_allocation(lambda: load_checkpoint(tmp_path / "model.ckpt"))
+        sizes = [p.tensor.data.nbytes for p in params.values()]
+        assert peak <= sum(sizes) + 0.25 * max(sizes)
+        assert all(loaded[n].tensor.data.tobytes() == p.tensor.data.tobytes()
+                   for n, p in params.items())
 
     def test_trailing_byte_rejected(self, tmp_path):
         rng = np.random.default_rng(18)

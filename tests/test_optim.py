@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from contactformer.autodiff import Parameter, ShapeMismatch, Tensor
 from contactformer.optim import AdamState, adam_step
+
+from conftest import peak_allocation
 
 
 def param(name, data, grad=None):
@@ -76,3 +81,58 @@ class TestAdamStep:
         p = param("w", [1.0])
         adam_step({"w": p}, AdamState(), lr=0.1)
         assert p.tensor.data[0] == 1.0
+
+
+def adam_before(x, g, m, v, t, lr, beta1, beta2, eps, weight_decay):
+    """adam_step's update of one parameter as whole-array expressions, as it was
+    before it ran in two scratch arrays; returns the new x, m and v."""
+    x, m, v = x.copy(), m.copy(), v.copy()
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
+    if weight_decay != 0.0:
+        x *= 1.0 - lr * weight_decay
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * (g * g)
+    m_hat = m / bc1
+    v_hat = v / bc2
+    x -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(x.dtype)
+    return x, m, v
+
+
+@st.composite
+def adam_operands(draw):
+    """Parameter, gradient and moments of one shape and float dtype, any float values."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=5))
+    floats = st.floats(width=np.finfo(dtype).bits)
+    return tuple(draw(hnp.arrays(dtype, shape, elements=floats)) for _ in range(4))
+
+
+class TestAdamInPlace:
+    @settings(max_examples=200, deadline=None)
+    @given(xgmv=adam_operands(), t=st.integers(1, 1000), lr=st.floats(1e-6, 1.0),
+           beta1=st.floats(0.0, 1.0, exclude_max=True),
+           beta2=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           eps=st.floats(1e-12, 1e-3), weight_decay=st.sampled_from([0.0, 0.01, 0.5]))
+    @np.errstate(all="ignore")  # inf - inf, sqrt of a negative moment and the like
+    def test_bit_identical_to_whole_array_expressions(self, xgmv, t, lr, beta1, beta2, eps,
+                                                      weight_decay):
+        x, g, m, v = xgmv
+        expected = adam_before(x, g, m, v, t, lr, beta1, beta2, eps, weight_decay)
+        p = Parameter("w", Tensor(x.copy(), requires_grad=True))
+        p.tensor.grad = g
+        state = AdamState(m={"w": m.copy()}, v={"w": v.copy()}, t=t - 1)
+        adam_step({"w": p}, state, lr, beta1, beta2, eps, weight_decay)
+        for got, want in zip((p.tensor.data, state.m["w"], state.v["w"]), expected):
+            assert got.dtype == x.dtype and got.tobytes() == want.tobytes()
+
+    def test_allocates_two_scratch_arrays_per_parameter(self):
+        rng = np.random.default_rng(2)
+        t = Tensor(rng.standard_normal((512, 256)).astype(np.float32), requires_grad=True)
+        t.grad = rng.standard_normal(t.shape).astype(np.float32)
+        params, state = {"w": Parameter("w", t)}, AdamState()
+        adam_step(params, state, lr=1e-3)  # allocates the moments
+        _, peak = peak_allocation(lambda: adam_step(params, state, lr=1e-3))
+        assert peak <= 2.25 * t.data.nbytes, peak / t.data.nbytes

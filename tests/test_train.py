@@ -325,12 +325,12 @@ class TestAutodiffGraph:
         logits = encoder_forward(batch, cfg, params, train_mode=True,
                                  rng=np.random.default_rng(1))[0]
         # after the forward pass, an op's output is alive only if a backward closure
-        # reads it: linear reads its input, masked_attention q, k and v, relu its
-        # output. layer_norm keeps its own xhat, dropout a bool mask; add and
-        # scatter keep shapes and indices, masked_mean its counts.
+        # reads it: linear reads its input, masked_attention q, k and v, linear_relu
+        # (recorded as its linear) its output. layer_norm keeps its own xhat, dropout
+        # a bool mask; add and scatter keep shapes and indices, masked_mean its counts.
         layer = [("linear", True)] * 3 + [
             ("masked_attention", True), ("linear", False), ("dropout", False), ("add", False),
-            ("layer_norm", True), ("linear", False), ("relu", True), ("linear", False),
+            ("layer_norm", True), ("linear", True), ("linear", False),
             ("dropout", False), ("add", False), ("layer_norm", True)]
         kept = [("embedding", False), ("mul", False), ("add", False), ("dropout", True),
                 *layer * cfg.n_layers]
