@@ -26,6 +26,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np
 
 import workloads
+from contactformer.cli import int_at_least
 
 
 def digest(data: bytes) -> str:
@@ -34,7 +35,7 @@ def digest(data: bytes) -> str:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seed", type=int_at_least(0), default=1)
     args = parser.parse_args()
 
     for name, sizes in workloads.WORKLOADS.items():

@@ -38,17 +38,21 @@ def main() -> int:
                         help="write per-mode epoch CSVs here")
     args = parser.parse_args()
 
+    try:
+        tcfg = TrainConfig(lr=args.lr, batch_size=args.batch_size,
+                           max_epochs=args.epochs, patience=10 * args.epochs,
+                           seed=args.seed)
+        configs = {mode: ModelConfig(n_classes=4, embed_dim=args.embed_dim,
+                                     n_heads=args.heads, n_layers=args.layers,
+                                     attention_mode=mode)
+                   for mode in ATTENTION_MODES}
+    except ValueError as exc:  # an out-of-range setting
+        parser.error(str(exc))
     train_set, val_set, test_set = topology_dataset(
         args.n_train, 100, 100, length=args.length, seed=args.seed)
-    tcfg = TrainConfig(lr=args.lr, batch_size=args.batch_size,
-                       max_epochs=args.epochs, patience=10 * args.epochs,
-                       seed=args.seed)
 
     results = {}
-    for mode in ATTENTION_MODES:
-        cfg = ModelConfig(n_classes=4, embed_dim=args.embed_dim,
-                          n_heads=args.heads, n_layers=args.layers,
-                          attention_mode=mode)
+    for mode, cfg in configs.items():
         started = time.perf_counter()
         run = train(cfg, train_set, val_set, tcfg, verbose=True)
         report, _, _ = evaluate(cfg, run.params, test_set)

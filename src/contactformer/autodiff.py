@@ -3,10 +3,12 @@
 The encoder and its loss call linear (fused with a ReLU in
 :func:`linear_relu`), embedding lookup, mul, residual add, layer norm,
 inverted dropout, packed masked attention, scatter, masked mean and
-weighted cross-entropy. No package code calls :func:`matmul`,
-:func:`masked_softmax`, :func:`relu`, :func:`reshape` or
-:func:`transpose`: they stay for the benchmark tracer (perfbench/), which
-wraps them by name, and for the tests, which use them as oracles.
+weighted cross-entropy (log-probabilities from the plain-array
+:func:`log_softmax`, which the evaluation loss calls too). No package
+code calls :func:`matmul`, :func:`masked_softmax`, :func:`relu`,
+:func:`reshape` or :func:`transpose`: they stay for the benchmark tracer
+(perfbench/), which wraps them by name, and for the tests, which use
+them as oracles.
 
 The graph is made of nodes, not tensors. An op whose operands need a
 gradient gives its output a :class:`Node`: its parents' nodes (a leaf
@@ -216,9 +218,8 @@ def _released(g: np.ndarray):
 
 @dataclass
 class Parameter:
-    """Named trainable tensor; names are stable across save/load."""
+    """Trainable tensor; its name is its key in the params dict."""
 
-    name: str
     tensor: Tensor
 
 
@@ -325,14 +326,17 @@ def relu(x: Tensor) -> Tensor:
     return _make(y, (x,), lambda g: (g * (y > 0),))
 
 
-def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the feature (last) axis with learned scale/shift."""
+LAYER_NORM_EPS = 1e-5
+
+
+def layer_norm(x: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
+    """Normalize over the feature (last) axis with learned scale/shift; eps is LAYER_NORM_EPS."""
     d = x.shape[-1]
     if scale.shape != (d,) or shift.shape != (d,):
         raise ShapeMismatch(f"layer_norm: x {x.shape}, scale {scale.shape}, shift {shift.shape}")
     xhat = x.data - x.data.mean(axis=-1, keepdims=True)  # centred, then scaled in place
     y = np.multiply(xhat, xhat)  # squares first, then the output
-    inv_std = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + eps)
+    inv_std = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
     xhat *= inv_std
     sd = scale.data
     np.multiply(xhat, sd, out=y)
@@ -492,6 +496,12 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, blocks: Sequence[np.ndarra
     return _make(out, (q, k, v), backward)
 
 
+def log_softmax(z: np.ndarray) -> np.ndarray:
+    """log(softmax(z)) over the last axis, on plain arrays (records no node)."""
+    shifted = z - z.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
 def weighted_cross_entropy(logits: Tensor, labels: np.ndarray, class_weights: np.ndarray) -> Tensor:
     """Weighted-mean cross-entropy: sum_b w[y_b] * nll_b / sum_b w[y_b]."""
     labels = np.asarray(labels)
@@ -504,9 +514,7 @@ def weighted_cross_entropy(logits: Tensor, labels: np.ndarray, class_weights: np
     if labels.size and (labels.min() < 0 or labels.max() >= c):
         raise ValueError("labels out of range")
 
-    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    logp = shifted - logz
+    logp = log_softmax(logits.data)
     w = weights[labels]
     w_total = w.sum()
     if w_total <= 0:
@@ -558,9 +566,9 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     return _make(x.data.transpose(axes), (x,), lambda g: (g.transpose(inverse),))
 
 
-def zero_grads(params: Iterable[Parameter | Tensor]):
+def zero_grads(params: Iterable[Parameter]):
     for p in params:
-        (p.tensor if isinstance(p, Parameter) else p).zero_grad()
+        p.tensor.zero_grad()
 
 
 def grad_check(

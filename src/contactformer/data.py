@@ -1,10 +1,10 @@
 """Tokenization, label indexing, stratified splits, and batch assembly.
 
 Residues map to token ids 1..20 in alphabetical order of their 1-letter
-codes; 0 is the padding index. A batch carries three aligned pieces per
-sample (the model's input contract): the padded token row, the
-key-padding mask (true = pad), and an L x L attention mask derived from
-the contact map (true = query i may NOT attend key j). The diagonal is
+codes; 0 is the padding index. A batch carries two aligned pieces per
+sample (the model's input contract): the padded token row, whose zeros
+are the key-padding mask, and an L x L attention mask derived from the
+contact map (true = query i may NOT attend key j). The diagonal is
 always attendable and pad keys are disallowed, so no query row is fully masked.
 """
 
@@ -191,10 +191,13 @@ def compute_class_weights(labels, n_classes: int) -> np.ndarray:
 class EncodedBatch:
     """Padded tokens + masks + labels, ready for the encoder."""
 
-    tokens: np.ndarray            # (B, L) int64, 0 = pad
-    key_padding_mask: np.ndarray  # (B, L) bool, true = pad
-    attention_masks: np.ndarray   # (B, L, L) bool, true = may not attend
-    labels: np.ndarray            # (B,) int64
+    tokens: np.ndarray           # (B, L) int64, 0 = pad
+    attention_masks: np.ndarray  # (B, L, L) bool, true = may not attend
+    labels: np.ndarray           # (B,) int64
+
+    @property
+    def key_padding_mask(self) -> np.ndarray:
+        return self.tokens == 0  # (B, L) bool, true = pad
 
 
 def batch_encode(
@@ -221,17 +224,15 @@ def batch_encode(
     rows = [tokenize(e.sequence)[:max_len] for e in entries]
     b, l = len(rows), max(map(len, rows))
     tokens = np.zeros((b, l), dtype=np.int64)
-    key_pad = np.ones((b, l), dtype=bool)
     attn = np.ones((b, l, l), dtype=bool)
     attn[:, np.arange(l), np.arange(l)] = False
     contact = attention_mode == "contact"
     for bi, (e, toks) in enumerate(zip(entries, rows)):
         n = len(toks)
         tokens[bi, :n] = toks
-        key_pad[bi, :n] = False
         attn[bi, :n, :n] = ~e.contact_map.dense()[:n, :n] if contact else False
     labels = np.array([e.label for e in entries], dtype=np.int64)
-    return EncodedBatch(tokens, key_pad, attn, labels)
+    return EncodedBatch(tokens, attn, labels)
 
 
 # --- file formats ---------------------------------------------------------

@@ -10,7 +10,7 @@ class's score among all class scores and averaged over instances.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -48,17 +48,21 @@ class MetricsReport:
     f1: float
     mean_auc: float
     per_class: ClassTable
-    thresholds: dict[str, BucketMetrics | None] = field(default_factory=dict)
+    thresholds: dict[str, BucketMetrics | None]  # empty without class sizes
+
+    def headline(self) -> dict[str, float]:
+        """The five whole-set metrics under their report names."""
+        return {
+            "accuracy": self.accuracy,
+            "weighted_precision": self.precision,
+            "weighted_recall": self.recall,
+            "weighted_f1": self.f1,
+            "mean_instance_auc": self.mean_auc,
+        }
 
     def to_flat_text(self) -> str:
         """Flat key-value lines, one metric per line."""
-        lines = [
-            f"accuracy\t{self.accuracy:.6f}",
-            f"weighted_precision\t{self.precision:.6f}",
-            f"weighted_recall\t{self.recall:.6f}",
-            f"weighted_f1\t{self.f1:.6f}",
-            f"mean_instance_auc\t{self.mean_auc:.6f}",
-        ]
+        lines = [f"{name}\t{value:.6f}" for name, value in self.headline().items()]
         for name in sorted(self.thresholds):
             bucket = self.thresholds[name]
             if bucket is None:
@@ -71,27 +75,10 @@ class MetricsReport:
 
     def to_json(self) -> str:
         payload = {
-            "accuracy": self.accuracy,
-            "weighted_precision": self.precision,
-            "weighted_recall": self.recall,
-            "weighted_f1": self.f1,
-            "mean_instance_auc": self.mean_auc,
-            "per_class": {
-                "support": self.per_class.support.tolist(),
-                "precision": self.per_class.precision.tolist(),
-                "recall": self.per_class.recall.tolist(),
-                "f1": self.per_class.f1.tolist(),
-            },
-            "thresholds": {
-                name: None if bucket is None else {
-                    "n_instances": bucket.n_instances,
-                    "accuracy": bucket.accuracy,
-                    "precision": bucket.precision,
-                    "recall": bucket.recall,
-                    "f1": bucket.f1,
-                }
-                for name, bucket in sorted(self.thresholds.items())
-            },
+            **self.headline(),
+            "per_class": {name: column.tolist() for name, column in vars(self.per_class).items()},
+            "thresholds": {name: None if bucket is None else asdict(bucket)
+                           for name, bucket in self.thresholds.items()},
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -200,12 +187,7 @@ def threshold_report(
     return report
 
 
-def full_report(
-    prob: np.ndarray,
-    y_true,
-    class_sizes=None,
-    thresholds=(10, 30),
-) -> MetricsReport:
+def full_report(prob: np.ndarray, y_true, class_sizes=None) -> MetricsReport:
     """Assemble the complete report from predicted probabilities."""
     prob = np.asarray(prob)
     y_true = np.asarray(y_true)
@@ -214,7 +196,7 @@ def full_report(
     precision, recall, f1, table = weighted_prf(y_true, y_pred, n_classes)
     buckets = {}
     if class_sizes is not None:
-        buckets = threshold_report(y_true, y_pred, class_sizes, thresholds)
+        buckets = threshold_report(y_true, y_pred, class_sizes)
     return MetricsReport(
         accuracy=float((y_true == y_pred).mean()),
         precision=precision,

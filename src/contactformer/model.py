@@ -128,7 +128,7 @@ def init_params(config: ModelConfig, rng: np.random.Generator,
             data = rng.uniform(-limit, limit, size=shape)
         else:
             data = np.ones(shape) if name.endswith(".scale") else np.zeros(shape)
-        params[name] = Parameter(name, Tensor(data.astype(dtype), requires_grad=True))
+        params[name] = Parameter(Tensor(data.astype(dtype), requires_grad=True))
     return params
 
 
@@ -347,7 +347,7 @@ def load_checkpoint(
             arr = np.empty(shape, dtype=dtype)
             if fh.readinto(arr) != n:
                 raise CheckpointError(f"truncated tensor data: {name!r} was cut short")
-            params[name] = Parameter(name, Tensor(arr, requires_grad=True))
+            params[name] = Parameter(Tensor(arr, requires_grad=True))
     return config, params, label_hash
 
 

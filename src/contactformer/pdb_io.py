@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,15 +77,10 @@ class ChainStructure:
 
 @dataclass(frozen=True)
 class CompletenessReport:
-    """Quality summary used to accept or reject an entry."""
+    """Gaps and nonstandard residues: prep rejects an entry for each under its own reason code."""
 
-    n_residues: int
     n_gaps: int
-    nonstandard_residues: tuple[str, ...] = field(default_factory=tuple)
-
-    @property
-    def passed(self) -> bool:
-        return self.n_gaps == 0 and not self.nonstandard_residues
+    nonstandard_residues: tuple[str, ...]
 
 
 @functools.lru_cache(maxsize=1)  # the rows naming one file share its scan
@@ -212,5 +207,5 @@ def check_completeness(
             n_gaps += 1
         if chain.residues[-1].seq_id < end:
             n_gaps += 1
-    return CompletenessReport(len(chain.residues), n_gaps, _nonstandard(chain))
+    return CompletenessReport(n_gaps, _nonstandard(chain))
 

@@ -96,9 +96,7 @@ def _eval_loss(entries, config, params, weights, batch_size):
     total_wnll = total_w = plain_nll = 0.0
     correct = 0
     for labels, logits, _ in predict(entries, config, params, batch_size):
-        z = logits - logits.max(axis=-1, keepdims=True)
-        logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-        nll = -logp[np.arange(labels.size), labels]
+        nll = -ad.log_softmax(logits)[np.arange(labels.size), labels]
         w = weights[labels]
         total_wnll += float((w * nll).sum())
         total_w += float(w.sum())

@@ -203,3 +203,75 @@ class TestFullReport:
         payload = json.loads(report.to_json())
         assert set(payload["thresholds"]) == {"ge10", "lt10", "ge30", "lt30"}
         assert len(payload["per_class"]["support"]) == 4
+
+
+def flat_text_pinned(report) -> str:
+    """MetricsReport.to_flat_text as first written, with every key listed by hand."""
+    lines = [
+        f"accuracy\t{report.accuracy:.6f}",
+        f"weighted_precision\t{report.precision:.6f}",
+        f"weighted_recall\t{report.recall:.6f}",
+        f"weighted_f1\t{report.f1:.6f}",
+        f"mean_instance_auc\t{report.mean_auc:.6f}",
+    ]
+    for name in sorted(report.thresholds):
+        bucket = report.thresholds[name]
+        if bucket is None:
+            lines.append(f"{name}\tabsent")
+            continue
+        for metric in ("accuracy", "precision", "recall", "f1"):
+            lines.append(f"{name}_{metric}\t{getattr(bucket, metric):.6f}")
+        lines.append(f"{name}_n\t{bucket.n_instances}")
+    return "\n".join(lines) + "\n"
+
+
+def json_pinned(report) -> str:
+    """MetricsReport.to_json as first written, with every key listed by hand."""
+    payload = {
+        "accuracy": report.accuracy,
+        "weighted_precision": report.precision,
+        "weighted_recall": report.recall,
+        "weighted_f1": report.f1,
+        "mean_instance_auc": report.mean_auc,
+        "per_class": {
+            "support": report.per_class.support.tolist(),
+            "precision": report.per_class.precision.tolist(),
+            "recall": report.per_class.recall.tolist(),
+            "f1": report.per_class.f1.tolist(),
+        },
+        "thresholds": {
+            name: None if bucket is None else {
+                "n_instances": bucket.n_instances,
+                "accuracy": bucket.accuracy,
+                "precision": bucket.precision,
+                "recall": bucket.recall,
+                "f1": bucket.f1,
+            }
+            for name, bucket in sorted(report.thresholds.items())
+        },
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+class TestReportBytes:
+    """The report files `evaluate` writes keep their bytes: both serializers match
+    the hand-listed originals above on drawn reports."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_serializers_match_pinned_copies(self, data):
+        c = data.draw(st.integers(min_value=2, max_value=5), label="classes")
+        n = data.draw(st.integers(min_value=1, max_value=12), label="instances")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        grid = rng.integers(0, 4, size=(n, c)).astype(float)
+        grid[grid.sum(axis=1) == 0, 0] = 1.0
+        prob = grid / grid.sum(axis=1, keepdims=True)
+        labels = rng.integers(0, c, size=n)
+        # a size bucket that no instance falls in is reported as None
+        sizes = data.draw(st.none() | st.lists(st.sampled_from([1, 9, 10, 29, 30, 45]),
+                                               min_size=c, max_size=c), label="class_sizes")
+        report = full_report(prob, labels, class_sizes=sizes)
+        if sizes is None:
+            assert report.thresholds == {}
+        assert report.to_json() == json_pinned(report)
+        assert report.to_flat_text() == flat_text_pinned(report)

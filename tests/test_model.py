@@ -56,12 +56,10 @@ def pad_batch(batch: EncodedBatch, extra: int) -> EncodedBatch:
     b, l = batch.tokens.shape
     tokens = np.zeros((b, l + extra), dtype=batch.tokens.dtype)
     tokens[:, :l] = batch.tokens
-    key_pad = np.ones((b, l + extra), dtype=bool)
-    key_pad[:, :l] = batch.key_padding_mask
     attn = np.ones((b, l + extra, l + extra), dtype=bool)
     attn[:, np.arange(l + extra), np.arange(l + extra)] = False
     attn[:, :l, :l] = batch.attention_masks
-    return EncodedBatch(tokens, key_pad, attn, batch.labels)
+    return EncodedBatch(tokens, attn, batch.labels)
 
 
 class TestPositionalEncoding:

@@ -10,11 +10,11 @@ from contactformer.optim import AdamState, adam_step
 from conftest import peak_allocation
 
 
-def param(name, data, grad=None):
+def param(data, grad=None):
     t = Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
     if grad is not None:
         t.grad = np.asarray(grad, dtype=np.float64)
-    return Parameter(name, t)
+    return Parameter(t)
 
 
 def reference_adam(x0, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8, wd=0.01):
@@ -33,26 +33,26 @@ def reference_adam(x0, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8, wd=0.01):
 
 class TestAdamStep:
     def test_zero_gradient_zero_decay_is_fixed_point(self):
-        p = param("w", [1.0, -2.0], grad=[0.0, 0.0])
+        p = param([1.0, -2.0], grad=[0.0, 0.0])
         before = p.tensor.data.copy()
         adam_step({"w": p}, AdamState(), lr=0.1, weight_decay=0.0)
         assert np.array_equal(p.tensor.data, before)
 
     def test_first_step_moves_by_lr(self):
         # t=1: m_hat = g, v_hat = g^2, update = lr * g / (|g| + eps)
-        p = param("w", [1.0], grad=[1.0])
+        p = param([1.0], grad=[1.0])
         adam_step({"w": p}, AdamState(), lr=0.1, weight_decay=0.0)
         assert abs(p.tensor.data[0] - 0.9) < 1e-7
 
     def test_decoupled_decay_alone(self):
-        p = param("w", [1.0], grad=[0.0])
+        p = param([1.0], grad=[0.0])
         adam_step({"w": p}, AdamState(), lr=0.1, weight_decay=0.01)
         assert p.tensor.data[0] == 1.0 * (1.0 - 0.001)
 
     def test_matches_reference_recurrence(self):
         rng = np.random.default_rng(0)
         grads = rng.standard_normal(5)
-        p = param("w", [0.37])
+        p = param([0.37])
         state = AdamState()
         for g in grads:
             p.tensor.grad = np.array([g])
@@ -63,7 +63,7 @@ class TestAdamStep:
     def test_deterministic_bit_identical(self):
         def run():
             rng = np.random.default_rng(1)
-            p = param("w", rng.standard_normal(6))
+            p = param(rng.standard_normal(6))
             state = AdamState()
             for _ in range(4):
                 p.tensor.grad = rng.standard_normal(6)
@@ -73,12 +73,12 @@ class TestAdamStep:
         assert np.array_equal(run(), run())
 
     def test_shape_mismatch(self):
-        p = param("w", [1.0, 2.0], grad=[1.0])
+        p = param([1.0, 2.0], grad=[1.0])
         with pytest.raises(ShapeMismatch):
             adam_step({"w": p}, AdamState(), lr=0.1)
 
     def test_missing_gradient_skipped(self):
-        p = param("w", [1.0])
+        p = param([1.0])
         adam_step({"w": p}, AdamState(), lr=0.1)
         assert p.tensor.data[0] == 1.0
 
@@ -121,7 +121,7 @@ class TestAdamInPlace:
                                                       weight_decay):
         x, g, m, v = xgmv
         expected = adam_before(x, g, m, v, t, lr, beta1, beta2, eps, weight_decay)
-        p = Parameter("w", Tensor(x.copy(), requires_grad=True))
+        p = Parameter(Tensor(x.copy(), requires_grad=True))
         p.tensor.grad = g
         state = AdamState(m={"w": m.copy()}, v={"w": v.copy()}, t=t - 1)
         adam_step({"w": p}, state, lr, beta1, beta2, eps, weight_decay)
@@ -132,7 +132,7 @@ class TestAdamInPlace:
         rng = np.random.default_rng(2)
         t = Tensor(rng.standard_normal((512, 256)).astype(np.float32), requires_grad=True)
         t.grad = rng.standard_normal(t.shape).astype(np.float32)
-        params, state = {"w": Parameter("w", t)}, AdamState()
+        params, state = {"w": Parameter(t)}, AdamState()
         adam_step(params, state, lr=1e-3)  # allocates the moments
         _, peak = peak_allocation(lambda: adam_step(params, state, lr=1e-3))
         assert peak <= 2.25 * t.data.nbytes, peak / t.data.nbytes

@@ -323,11 +323,11 @@ class TestResiduesToSequence:
 class TestCheckCompleteness:
     def test_contiguous_passes(self):
         report = check_completeness(make_chain([5, 6, 7]))
-        assert report.n_gaps == 0 and report.passed
+        assert report.n_gaps == 0 and report.nonstandard_residues == ()
 
     def test_gap_detected(self):
         report = check_completeness(make_chain([5, 7]))
-        assert report.n_gaps == 1 and not report.passed
+        assert report.n_gaps == 1 and report.nonstandard_residues == ()
 
     def test_insertion_code_is_not_a_gap(self):
         chain = make_chain([5, 5, 6], icodes=[" ", "A", " "])
@@ -344,7 +344,7 @@ class TestCheckCompleteness:
         chain = make_chain([1, 2, 3], res_names=["MSE", "ALA", "UNK"])
         report = check_completeness(chain)
         assert report.nonstandard_residues == ("MSE", "UNK")
-        assert not report.passed
+        assert report.n_gaps == 0
 
 
 @st.composite
