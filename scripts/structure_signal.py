@@ -17,6 +17,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from contactformer.cli import int_at_least, positive_int
 from contactformer.data import ATTENTION_MODES
 from contactformer.model import ModelConfig
 from contactformer.synthetic import topology_dataset
@@ -31,8 +32,8 @@ def main() -> int:
     parser.add_argument("--layers", type=int, default=5)
     parser.add_argument("--lr", type=float, default=1e-4)
     parser.add_argument("--batch-size", type=int, default=64)
-    parser.add_argument("--length", type=int, default=16)
-    parser.add_argument("--n-train", type=int, default=400)
+    parser.add_argument("--length", type=int_at_least(2), default=16)
+    parser.add_argument("--n-train", type=positive_int, default=400)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--log-dir", default=None,
                         help="write per-mode epoch CSVs here")

@@ -71,8 +71,7 @@ def _prep_one(task):
 
 def _prep_row(text, row, threshold):
     try:
-        chain = pdb_io.parse_structure(text, row.chain_id, row.residue_range,
-                                       pdb_id=row.entry_id[:4])
+        chain = pdb_io.parse_structure(text, row.chain_id, row.residue_range)
     except ValueError as exc:  # PdbParseError, or a chain id that is not one character
         return None, None, "MALFORMED", str(exc)
     report = pdb_io.check_completeness(chain, row.residue_range)
@@ -255,19 +254,6 @@ def cmd_embed(args) -> int:
 
 # --- parser ----------------------------------------------------------------
 
-def _add_model_flags(p: argparse.ArgumentParser):
-    p.add_argument("--embed-dim", type=int, choices=(128, 256), default=256)
-    p.add_argument("--heads", type=int, default=8)
-    p.add_argument("--layers", type=int, default=5)
-    p.add_argument("--ffn-dim", type=int, default=None,
-                   help="default: 4 * embed-dim")
-    p.add_argument("--dropout", type=float, default=0.1)
-    p.add_argument("--max-len", type=int, default=512)
-    p.add_argument("--attention", choices=ATTENTION_MODES, default="contact")
-    p.add_argument("--no-positional", action="store_true",
-                   help="disable sinusoidal positional encodings")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="contactformer",
                      description="Contact-map-masked transformer pipeline")
@@ -275,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prep", help="parse structures, filter, build contact maps")
     p.add_argument("--index", required=True, help="TSV: entry_id pdb_path chain "
-                   "res_start res_end superfamily ('-' = unbounded)")
+                   "res_start res_end superfamily ('-' in both = whole chain)")
     p.add_argument("--pdb-dir", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--threshold", type=finite_positive_float, default=8.0)
@@ -297,7 +283,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--log", default=None, help="epoch CSV (default: <checkpoint>.log.csv)")
-    _add_model_flags(p)
+    p.add_argument("--embed-dim", type=int, choices=(128, 256), default=256)
+    p.add_argument("--heads", type=int, default=8)
+    p.add_argument("--layers", type=int, default=5)
+    p.add_argument("--ffn-dim", type=int, default=None,
+                   help="default: 4 * embed-dim")
+    p.add_argument("--dropout", type=float, default=0.1)
+    p.add_argument("--max-len", type=int, default=512)
+    p.add_argument("--attention", choices=ATTENTION_MODES, default="contact")
+    p.add_argument("--no-positional", action="store_true",
+                   help="disable sinusoidal positional encodings")
     p.add_argument("--lr", type=float, default=1e-4)
     p.add_argument("--batch-size", type=int, default=64)
     p.add_argument("--epochs", type=int, default=200)

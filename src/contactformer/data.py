@@ -244,24 +244,18 @@ class IndexRow:
     entry_id: str
     pdb_path: str
     chain_id: str
-    res_start: int | None
-    res_end: int | None
+    residue_range: tuple[int, int] | None  # inclusive; None = the whole chain
     superfamily_id: str
-
-    @property
-    def residue_range(self) -> tuple[int, int] | None:
-        if self.res_start is None or self.res_end is None:
-            return None
-        return (self.res_start, self.res_end)
 
 
 def read_index(path) -> tuple[list[IndexRow], list[tuple[str, str]]]:
     """Parse the TSV index: entry_id, pdb_path, chain_id, start, end, superfamily.
 
-    '-' in the range columns means unbounded (whole chain). Returns the
-    valid rows and, for every malformed row, (entry_id, reason): a row not
-    valid UTF-8 (U+FFFD marks the bad bytes), without 6 fields, with a
-    non-integer range bound, or with a repeated entry id (the first is kept).
+    '-' in both range columns means the whole chain. Returns the valid rows
+    and, for every malformed row, (entry_id, reason): a row not valid UTF-8
+    (U+FFFD marks the bad bytes), without 6 fields, with a non-integer range
+    bound or exactly one '-' bound, or with a repeated entry id (the first
+    is kept).
     """
     rows: list[IndexRow] = []
     malformed: list[tuple[str, str]] = []
@@ -285,12 +279,13 @@ def read_index(path) -> tuple[list[IndexRow], list[tuple[str, str]]]:
             malformed.append((entry_id, f"{where}: duplicate entry id"))
             continue
         try:
-            bounds = [None if v == "-" else int(v) for v in (start, end)]
+            residue_range = None if start == end == "-" else (int(start), int(end))
         except ValueError as exc:
-            malformed.append((entry_id, f"{where}: {exc}"))
+            reason = "a residue range needs both bounds or neither" if "-" in (start, end) else exc
+            malformed.append((entry_id, f"{where}: {reason}"))
             continue
         seen.add(entry_id)
-        rows.append(IndexRow(entry_id, pdb_path, chain_id, *bounds, sf))
+        rows.append(IndexRow(entry_id, pdb_path, chain_id, residue_range, sf))
     if not rows and not malformed:
         raise EmptyDataset(f"index {path} has no entries")
     return rows, malformed

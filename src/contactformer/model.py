@@ -150,14 +150,11 @@ def pack(batch) -> tuple[tuple[np.ndarray, np.ndarray], list[np.ndarray]]:
     """
     lengths = (~batch.key_padding_mask).sum(axis=1)
     order = np.argsort(lengths, kind="stable")
-    sorted_lengths = lengths[order]
-    rows = np.repeat(order, sorted_lengths)
-    starts = np.cumsum(sorted_lengths) - sorted_lengths
-    cols = np.arange(rows.size) - np.repeat(starts, sorted_lengths)
-    values, firsts, counts = np.unique(sorted_lengths, return_index=True, return_counts=True)
+    sorted_rows, cols = np.nonzero(~batch.key_padding_mask[order])
+    values, firsts, counts = np.unique(lengths[order], return_index=True, return_counts=True)
     blocks = [batch.attention_masks[order[i:i + c], :n, :n]
               for n, i, c in zip(values, firsts, counts)]
-    return (rows, cols), blocks
+    return (order[sorted_rows], cols), blocks
 
 
 def multi_head_attention(

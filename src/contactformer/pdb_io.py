@@ -63,7 +63,6 @@ class Residue:
 class ChainStructure:
     """Ordered residues of one chain slice, in file order."""
 
-    pdb_id: str
     chain_id: str
     residues: tuple[Residue, ...]
 
@@ -105,7 +104,6 @@ def parse_structure(
     pdb_text: str,
     chain_id: str,
     residue_range: tuple[int, int] | None = None,
-    pdb_id: str = "",
 ) -> ChainStructure:
     """Extract the CA trace of one chain from fixed-column PDB text.
 
@@ -114,7 +112,6 @@ def parse_structure(
         chain_id: single-character chain identifier.
         residue_range: optional inclusive (start, end) filter on the author
             residue number (insertion codes are not part of the comparison).
-        pdb_id: identifier stored on the result; not used for matching.
 
     Returns:
         ChainStructure with residues exactly in file order. Reading stops at
@@ -164,7 +161,7 @@ def parse_structure(
         if residue_range is not None:
             where += f" in range {residue_range}"
         raise ChainNotFound(f"no CA ATOM record matches {where}")
-    return ChainStructure(pdb_id, chain_id, tuple(residues))
+    return ChainStructure(chain_id, tuple(residues))
 
 
 def _nonstandard(chain: ChainStructure) -> tuple[str, ...]:

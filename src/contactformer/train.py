@@ -58,7 +58,6 @@ class TrainResult:
     history: list[EpochRecord] = field(default_factory=list)
     best_val_loss: float = float("inf")
     best_epoch: int = 0
-    stopped_early: bool = False
 
 
 def softmax_np(z: np.ndarray) -> np.ndarray:
@@ -210,7 +209,6 @@ def train(
         else:
             bad_epochs += 1
             if bad_epochs >= cfg.patience:
-                result.stopped_early = True
                 break
     return result
 

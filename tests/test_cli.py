@@ -175,13 +175,15 @@ class TestPrep:
         index.write_text((corpus_dir / "index.tsv").read_text()
                          + "badrngA\t1aa0.pdb\tA\tx\t24\tsfa.1.1\n"
                          + "shortA\t1aa0.pdb\tA\n"
-                         + "1aa0A\t1aa0.pdb\tA\t-\t-\tsfz.9.9\n")
+                         + "1aa0A\t1aa0.pdb\tA\t-\t-\tsfz.9.9\n"
+                         + "halfA\t1aa0.pdb\tA\t5\t-\tsfa.1.1\n")
         assert run(["prep", "--index", index, "--pdb-dir", corpus_dir / "pdbs",
                     "--out", tmp_path / "out"]) == 0
-        assert "# rejected[MALFORMED] = 3" in capsys.readouterr().out
+        assert "# rejected[MALFORMED] = 4" in capsys.readouterr().out
         log = (tmp_path / "out" / "rejects.log").read_text().splitlines()
         malformed = [ln.split("\t")[0] for ln in log if ln.split("\t")[1] == "MALFORMED"]
-        assert malformed == ["badrngA", "shortA", "1aa0A"]
+        assert malformed == ["badrngA", "shortA", "1aa0A", "halfA"]
+        assert "halfA\tMALFORMED\tline 16: a residue range needs both bounds or neither" in log
         entries = load_entries(tmp_path / "out" / "processed.tsv")
         assert len(entries) == 10
         # the first occurrence of a duplicated id is the one kept

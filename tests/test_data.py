@@ -364,6 +364,26 @@ class TestReadIndexFuzz:
             (entry_id + reason).encode("utf-8")
 
 
+_RANGE_BOUND = st.just("-") | st.integers(-50, 50).map(str)
+
+
+class TestReadIndexRange:
+    @given(start=_RANGE_BOUND, end=_RANGE_BOUND)
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_both_bounds_or_neither(self, tmp_path, start, end):
+        path = tmp_path / "index.tsv"
+        path.write_text(f"e\tx.pdb\tA\t{start}\t{end}\tsf\n")
+        rows, malformed = read_index(path)
+        if (start == "-") != (end == "-"):
+            assert rows == []
+            assert malformed == [("e", "line 1: a residue range needs both bounds or neither")]
+            return
+        assert malformed == []
+        expected = None if start == "-" else (int(start), int(end))
+        assert [row.residue_range for row in rows] == [expected]
+
+
 class TestLabelIndex:
     def test_contiguous_sorted_indices(self):
         idx = LabelIndex(["b.2", "a.1", "c.3", "a.1"])

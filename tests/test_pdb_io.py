@@ -62,7 +62,7 @@ def make_chain(seq_ids, res_names=None, icodes=None, chain="A"):
         Residue(s, ic, rn, (float(i), 0.0, 0.0))
         for i, (s, ic, rn) in enumerate(zip(seq_ids, icodes, res_names))
     )
-    return ChainStructure("test", chain, residues)
+    return ChainStructure(chain, residues)
 
 
 class TestParseStructure:
@@ -202,7 +202,7 @@ def two_chain_texts(draw):
     return "\n".join(lines) + "\n"
 
 
-def spec_parse_structure(pdb_text, chain_id, residue_range=None, pdb_id=""):
+def spec_parse_structure(pdb_text, chain_id, residue_range=None):
     """parse_structure as one pass over every line: the oracle for its result
     and for the class and message of every error it raises."""
     if not pdb_text.strip():
@@ -253,7 +253,7 @@ def spec_parse_structure(pdb_text, chain_id, residue_range=None, pdb_id=""):
         if residue_range is not None:
             where += f" in range {residue_range}"
         raise ChainNotFound(f"no CA ATOM record matches {where}")
-    return ChainStructure(pdb_id, chain_id, tuple(residues))
+    return ChainStructure(chain_id, tuple(residues))
 
 
 def outcome(parse, *args):
@@ -286,8 +286,8 @@ class TestParseStructureFuzz:
     @settings(max_examples=400, deadline=None)
     def test_same_chain_or_same_error_as_line_loop(self, data, chain_id, residue_range):
         text = data.draw(two_chain_texts()) if data.draw(st.booleans()) else fuzzed_pdb_text(data)
-        assert (outcome(parse_structure, text, chain_id, residue_range, "fuzz")
-                == outcome(spec_parse_structure, text, chain_id, residue_range, "fuzz"))
+        assert (outcome(parse_structure, text, chain_id, residue_range)
+                == outcome(spec_parse_structure, text, chain_id, residue_range))
 
     @given(text=two_chain_texts())
     @settings(max_examples=150, deadline=None)
@@ -362,14 +362,13 @@ def chain_structures(draw):
         for i in range(n)
     )
     chain_id = draw(st.sampled_from("ABCXYZ"))
-    return ChainStructure("rtpd", chain_id, residues)
+    return ChainStructure(chain_id, residues)
 
 
 @given(chain_structures())
 @settings(max_examples=150, deadline=None)
 def test_round_trip_serialize_then_parse(chain):
-    reparsed = parse_structure(chain_to_pdb_text(chain), chain.chain_id,
-                               pdb_id=chain.pdb_id)
+    reparsed = parse_structure(chain_to_pdb_text(chain), chain.chain_id)
     assert reparsed == chain
 
 
