@@ -60,8 +60,8 @@ query that allows none, and ShapeMismatch for blocks that do not tile
 its rows; in :func:`masked_softmax` such a row comes out NaN.
 
 Training runs in float32; gradient checking should run in float64 (see
-:func:`grad_check`), where every op is expected to agree with central
-differences to better than 1e-4 relative error.
+``grad_check`` in tests/conftest.py), where every op is expected to agree
+with central differences to better than 1e-4 relative error.
 """
 
 from __future__ import annotations
@@ -570,38 +570,3 @@ def zero_grads(params: Iterable[Parameter]):
     for p in params:
         p.tensor.zero_grad()
 
-
-def grad_check(
-    f: Callable[[], Tensor],
-    params: Sequence[Tensor],
-    h: float = 1e-4,
-) -> float:
-    """Max relative error of analytic vs central-difference gradients.
-
-    f must be a deterministic scalar-valued computation over `params`
-    (re-evaluated many times; disable dropout). Use float64 tensors:
-    finite differences need the headroom. The per-coordinate error is
-    |a - n| / max(1e-8, |a| + |n|).
-    """
-    for p in params:
-        p.zero_grad()
-    out = f()
-    out.backward()
-    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
-
-    worst = 0.0
-    for p, a in zip(params, analytic):
-        a_flat = a.reshape(-1)
-        for idx in range(p.data.size):
-            mi = np.unravel_index(idx, p.data.shape)
-            orig = p.data[mi]
-            p.data[mi] = orig + h
-            f_plus = f().item()
-            p.data[mi] = orig - h
-            f_minus = f().item()
-            p.data[mi] = orig
-            numeric = (f_plus - f_minus) / (2.0 * h)
-            ai = float(a_flat[idx])
-            err = abs(ai - numeric) / max(1e-8, abs(ai) + abs(numeric))
-            worst = max(worst, err)
-    return worst

@@ -17,8 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import pdb_io
-# serialize_contacts is not called here: perfbench/tracing.py wraps cli.serialize_contacts by name.
-from .contacts import ContactMap, build_contact_map, serialize_contacts  # noqa: F401
+from .contacts import build_contact_map, serialize_contacts
 from .data import (
     ATTENTION_MODES,
     Entry,
@@ -57,7 +56,7 @@ def _print_config(args: argparse.Namespace):
 
 def _prep_one(task):
     """Process the index rows naming one PDB file, read and scanned once; returns
-    one (sequence, contact pairs ij, reason, detail) per row, in row order."""
+    one (sequence, pair field, reason, detail) per row, in row order."""
     pdb_path, rows, pdb_dir, threshold = task
     path = Path(pdb_dir) / pdb_path
     if not path.is_file():  # also keeps a directory, FIFO or device from being read
@@ -80,8 +79,9 @@ def _prep_row(text, row, threshold):
     if report.nonstandard_residues:
         return None, None, "NONSTANDARD", ",".join(report.nonstandard_residues)
     sequence = pdb_io.residues_to_sequence(chain)
-    # The int32 array, not the map: a ContactMap unpickled from a worker has a writable ij.
-    return sequence, build_contact_map(chain.ca_coordinates(), threshold).ij, None, None
+    # The finished pair field of processed.tsv: the parent writes it as it comes.
+    return (sequence, serialize_contacts(build_contact_map(chain.ca_coordinates(), threshold)),
+            None, None)
 
 
 def finite_positive_float(text: str) -> float:
@@ -121,15 +121,17 @@ def cmd_prep(args) -> int:
     tasks = [(pdb_path, file_rows, args.pdb_dir, args.threshold)
              for pdb_path, file_rows in by_file.items()]
     if args.workers > 1:
+        # A few large chunks per worker: few round trips, and a short tail at the end.
+        chunksize = -(-len(tasks) // (8 * args.workers))
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            per_file = list(pool.map(_prep_one, tasks, chunksize=4))
+            per_file = list(pool.map(_prep_one, tasks, chunksize=chunksize))
     else:
         per_file = [_prep_one(t) for t in tasks]
     outcome = {row.entry_id: out for file_rows, outs in zip(by_file.values(), per_file)
                for row, out in zip(file_rows, outs)}
     results = [(row, *outcome[row.entry_id]) for row in rows]
 
-    accepted = [(row, seq, ij) for row, seq, ij, reason, _ in results if reason is None]
+    accepted = [(row, seq, pairs) for row, seq, pairs, reason, _ in results if reason is None]
     rejects = [(entry_id, "MALFORMED", detail) for entry_id, detail in malformed]
     rejects += [(row.entry_id, reason, detail) for row, _, _, reason, detail in results if reason]
     reason_counts = Counter(reason for _, reason, _ in rejects)
@@ -148,10 +150,9 @@ def cmd_prep(args) -> int:
     label_index = LabelIndex(row.superfamily_id for row, _, _ in accepted)
     (out_dir / "labels.tsv").write_text(label_index.to_text(), encoding="utf-8")
 
-    entries = [Entry(row.entry_id, sequence, ContactMap(len(sequence), ij),
-                     label_index.index_of(row.superfamily_id))
-               for row, sequence, ij in accepted]
-    save_entries(out_dir / "processed.tsv", entries)
+    save_entries(out_dir / "processed.tsv",
+                 [(row.entry_id, label_index.index_of(row.superfamily_id), sequence, pairs)
+                  for row, sequence, pairs in accepted])
     return 0
 
 

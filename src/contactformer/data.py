@@ -291,8 +291,14 @@ def read_index(path) -> tuple[list[IndexRow], list[tuple[str, str]]]:
     return rows, malformed
 
 
+def fields_to_line(entry_id: str, label: int, sequence: str, pairs: str) -> str:
+    """One processed.tsv line; pairs is the pair field (see :func:`serialize_contacts`)."""
+    return f"{entry_id}\t{label}\t{sequence}\t{pairs}\n"
+
+
 def entry_to_line(entry: Entry) -> str:
-    return f"{entry.id}\t{entry.label}\t{entry.sequence}\t{serialize_contacts(entry.contact_map)}\n"
+    return fields_to_line(entry.id, entry.label, entry.sequence,
+                          serialize_contacts(entry.contact_map))
 
 
 def entry_from_line(line: str) -> Entry:
@@ -306,10 +312,10 @@ def entry_from_line(line: str) -> Entry:
         raise ValueError(f"entry {fields[0]!r}: {exc}") from None
 
 
-def save_entries(path, entries: list[Entry]) -> None:
+def save_entries(path, rows) -> None:
+    """Write processed.tsv from rows in field form: (entry id, label, sequence, pair field)."""
     with open(path, "w", encoding="utf-8") as fh:
-        for e in entries:
-            fh.write(entry_to_line(e))
+        fh.writelines(fields_to_line(*row) for row in rows)
 
 
 def load_entries(path) -> list[Entry]:

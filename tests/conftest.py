@@ -2,10 +2,12 @@ import json
 import struct
 import tracemalloc
 from pathlib import Path
+from typing import Callable, Sequence
 
 import numpy as np
 import pytest
 
+from contactformer.autodiff import Tensor
 from contactformer.model import ModelConfig, param_shapes
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -28,6 +30,42 @@ def peak_allocation(f):
         return result, tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
+
+
+def grad_check(
+    f: Callable[[], Tensor],
+    params: Sequence[Tensor],
+    h: float = 1e-4,
+) -> float:
+    """Max relative error of analytic vs central-difference gradients.
+
+    f must be a deterministic scalar-valued computation over `params`
+    (re-evaluated many times; disable dropout). Use float64 tensors:
+    finite differences need the headroom. The per-coordinate error is
+    |a - n| / max(1e-8, |a| + |n|).
+    """
+    for p in params:
+        p.zero_grad()
+    out = f()
+    out.backward()
+    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
+
+    worst = 0.0
+    for p, a in zip(params, analytic):
+        a_flat = a.reshape(-1)
+        for idx in range(p.data.size):
+            mi = np.unravel_index(idx, p.data.shape)
+            orig = p.data[mi]
+            p.data[mi] = orig + h
+            f_plus = f().item()
+            p.data[mi] = orig - h
+            f_minus = f().item()
+            p.data[mi] = orig
+            numeric = (f_plus - f_minus) / (2.0 * h)
+            ai = float(a_flat[idx])
+            err = abs(ai - numeric) / max(1e-8, abs(ai) + abs(numeric))
+            worst = max(worst, err)
+    return worst
 
 
 def tiny_config(**overrides) -> ModelConfig:

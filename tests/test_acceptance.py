@@ -35,7 +35,7 @@ from contactformer.model import (
 from contactformer.synthetic import overfit_dataset, topology_dataset
 from contactformer.train import TrainConfig, evaluate, train
 
-from conftest import random_rotation, tiny_config
+from conftest import grad_check, random_rotation, tiny_config
 from test_metrics import oracle_prf, oracle_roc_auc
 from test_model import pad_batch, random_entries
 
@@ -54,7 +54,7 @@ def test_gradient_fidelity():
 
     # h = 5e-4: small enough for truncation, large enough that the fp
     # noise on dead coordinates (key bias) stays under the 1e-8 floor
-    err = ad.grad_check(f, [p.tensor for p in params.values()], h=5e-4)
+    err = grad_check(f, [p.tensor for p in params.values()], h=5e-4)
     elapsed = time.perf_counter() - started
     assert err < 1e-4, f"max relative error {err:.3e}"
     assert elapsed < 30.0, f"took {elapsed:.1f}s"

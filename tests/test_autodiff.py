@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from contactformer import autodiff as ad
 from contactformer.autodiff import ShapeMismatch, Tensor
 
-from conftest import peak_allocation
+from conftest import grad_check, peak_allocation
 
 GRAD_TOL = 1e-4  # every differentiable op must beat this in f64
 
@@ -32,7 +32,7 @@ def to_scalar(out: Tensor, seed: int = 0) -> Tensor:
 class TestBackwardMachinery:
     def test_square_at_three(self):
         x = t64([3.0])
-        err = ad.grad_check(lambda: ad.reshape(ad.mul(x, x), ()), [x])
+        err = grad_check(lambda: ad.reshape(ad.mul(x, x), ()), [x])
         assert err < 1e-8
         x.zero_grad()
         ad.reshape(ad.mul(x, x), ()).backward()
@@ -105,27 +105,27 @@ class TestOpGradients:
     def test_add_broadcast(self):
         rng = np.random.default_rng(1)
         a, b = rand64(rng, 3, 4), rand64(rng, 4)
-        err = ad.grad_check(lambda: to_scalar(ad.add(a, b)), [a, b])
+        err = grad_check(lambda: to_scalar(ad.add(a, b)), [a, b])
         assert err < GRAD_TOL
 
     def test_mul_broadcast(self):
         rng = np.random.default_rng(2)
         a, b = rand64(rng, 2, 3, 4), rand64(rng, 1, 4)
-        err = ad.grad_check(lambda: to_scalar(ad.mul(a, b)), [a, b])
+        err = grad_check(lambda: to_scalar(ad.mul(a, b)), [a, b])
         assert err < GRAD_TOL
 
     def test_mul_by_constant(self):
         rng = np.random.default_rng(2)
         x = rand64(rng, 2, 3)
         for c in (0.5, rng.standard_normal((2, 3))):
-            err = ad.grad_check(lambda: to_scalar(ad.mul(x, c)), [x])
+            err = grad_check(lambda: to_scalar(ad.mul(x, c)), [x])
             assert err < GRAD_TOL
             assert ad.mul(x, c)._parents == (x,)
 
     def test_add_constant_array(self):
         rng = np.random.default_rng(1)
         x, table = rand64(rng, 2, 3, 4), rng.standard_normal((3, 4))
-        err = ad.grad_check(lambda: to_scalar(ad.add(x, table)), [x])
+        err = grad_check(lambda: to_scalar(ad.add(x, table)), [x])
         assert err < GRAD_TOL
         assert ad.add(x, table)._parents == (x,)
 
@@ -136,39 +136,39 @@ class TestOpGradients:
     def test_matmul_2d(self):
         rng = np.random.default_rng(3)
         a, b = rand64(rng, 3, 5), rand64(rng, 5, 2)
-        err = ad.grad_check(lambda: to_scalar(ad.matmul(a, b)), [a, b])
+        err = grad_check(lambda: to_scalar(ad.matmul(a, b)), [a, b])
         assert err < GRAD_TOL
 
     def test_matmul_batched(self):
         rng = np.random.default_rng(4)
         a, b = rand64(rng, 2, 2, 3, 4), rand64(rng, 2, 2, 4, 3)
-        err = ad.grad_check(lambda: to_scalar(ad.matmul(a, b)), [a, b])
+        err = grad_check(lambda: to_scalar(ad.matmul(a, b)), [a, b])
         assert err < GRAD_TOL
 
     def test_matmul_broadcast_weight(self):
         rng = np.random.default_rng(5)
         a, b = rand64(rng, 4, 2, 3), rand64(rng, 3, 3)
-        err = ad.grad_check(lambda: to_scalar(ad.matmul(a, b)), [a, b])
+        err = grad_check(lambda: to_scalar(ad.matmul(a, b)), [a, b])
         assert err < GRAD_TOL
 
     def test_linear(self):
         rng = np.random.default_rng(6)
         x, w, b = rand64(rng, 2, 5, 3), rand64(rng, 3, 4), rand64(rng, 4)
-        err = ad.grad_check(lambda: to_scalar(ad.linear(x, w, b)), [x, w, b])
+        err = grad_check(lambda: to_scalar(ad.linear(x, w, b)), [x, w, b])
         assert err < GRAD_TOL
 
     def test_linear_relu_away_from_kink(self):
         rng = np.random.default_rng(6)
         x, w, b = rand64(rng, 2, 5, 3), rand64(rng, 3, 4), rand64(rng, 4)
         assert np.abs(x.data @ w.data + b.data).min() > 1e-2  # clear of the kink
-        err = ad.grad_check(lambda: to_scalar(ad.linear_relu(x, w, b)), [x, w, b])
+        err = grad_check(lambda: to_scalar(ad.linear_relu(x, w, b)), [x, w, b])
         assert err < GRAD_TOL
 
     def test_embedding(self):
         rng = np.random.default_rng(7)
         table = rand64(rng, 6, 4)
         ids = rng.integers(0, 6, size=(2, 3))
-        err = ad.grad_check(lambda: to_scalar(ad.embedding(table, ids)), [table])
+        err = grad_check(lambda: to_scalar(ad.embedding(table, ids)), [table])
         assert err < GRAD_TOL
 
     def test_layer_norm(self):
@@ -176,7 +176,7 @@ class TestOpGradients:
         x = rand64(rng, 2, 3, 6)
         scale = t64(1.0 + 0.1 * rng.standard_normal(6))
         shift = rand64(rng, 6)
-        err = ad.grad_check(lambda: to_scalar(ad.layer_norm(x, scale, shift)),
+        err = grad_check(lambda: to_scalar(ad.layer_norm(x, scale, shift)),
                             [x, scale, shift])
         assert err < GRAD_TOL
 
@@ -185,7 +185,7 @@ class TestOpGradients:
         raw = rng.standard_normal((3, 4))
         raw = np.where(np.abs(raw) < 0.05, 0.5, raw)  # keep clear of the kink
         x = t64(raw)
-        err = ad.grad_check(lambda: to_scalar(ad.relu(x)), [x])
+        err = grad_check(lambda: to_scalar(ad.relu(x)), [x])
         assert err < GRAD_TOL
 
     def test_dropout_with_fixed_mask(self):
@@ -194,7 +194,7 @@ class TestOpGradients:
         def f():
             drop_rng = np.random.default_rng(123)  # identical mask per call
             return to_scalar(ad.dropout(x, 0.3, drop_rng, train=True))
-        err = ad.grad_check(f, [x])
+        err = grad_check(f, [x])
         assert err < GRAD_TOL
 
     def test_masked_softmax_gradient(self):
@@ -202,7 +202,7 @@ class TestOpGradients:
         x = rand64(rng, 4, 6)
         disallow = rng.random((4, 6)) < 0.3
         disallow[:, 0] = False  # keep at least one allowed entry per row
-        err = ad.grad_check(lambda: to_scalar(ad.masked_softmax(x, disallow)), [x])
+        err = grad_check(lambda: to_scalar(ad.masked_softmax(x, disallow)), [x])
         assert err < GRAD_TOL
 
     def test_masked_mean_gradient(self):
@@ -210,7 +210,7 @@ class TestOpGradients:
         x = rand64(rng, 2, 5, 3)
         keep = rng.random((2, 5)) < 0.6
         keep[:, 0] = True
-        err = ad.grad_check(lambda: to_scalar(ad.masked_mean(x, keep)), [x])
+        err = grad_check(lambda: to_scalar(ad.masked_mean(x, keep)), [x])
         assert err < GRAD_TOL
 
     def test_transpose_reshape_chain(self):
@@ -219,7 +219,7 @@ class TestOpGradients:
         def f():
             y = ad.transpose(x, (0, 2, 1))
             return to_scalar(ad.reshape(y, (4, 6)))
-        err = ad.grad_check(f, [x])
+        err = grad_check(f, [x])
         assert err < GRAD_TOL
 
     def test_weighted_cross_entropy_gradient(self):
@@ -227,7 +227,7 @@ class TestOpGradients:
         logits = rand64(rng, 2, 3)
         labels = np.array([0, 2])
         weights = np.array([0.5, 1.0, 2.0])
-        err = ad.grad_check(lambda: ad.weighted_cross_entropy(logits, labels, weights),
+        err = grad_check(lambda: ad.weighted_cross_entropy(logits, labels, weights),
                             [logits])
         assert err < 1e-6
 
@@ -381,7 +381,7 @@ class TestMaskedAttention:
         disallow = rng.random((2, 5, 5)) < 0.4
         disallow[1, 3, :] = True  # a query row like a pad's: it attends only itself
         disallow[:, np.arange(5), np.arange(5)] = False  # every query keeps itself
-        err = ad.grad_check(lambda: to_scalar(ad.masked_attention(q, k, v, [disallow], 2)),
+        err = grad_check(lambda: to_scalar(ad.masked_attention(q, k, v, [disallow], 2)),
                             [q, k, v])
         assert err < GRAD_TOL
 
@@ -401,7 +401,7 @@ class TestMaskedAttention:
             disallow = rng.random((count, n, n)) < 0.5
             disallow[:, np.arange(n), np.arange(n)] = False
             blocks.append(disallow)
-        err = ad.grad_check(lambda: to_scalar(ad.masked_attention(q, k, v, blocks, 2)),
+        err = grad_check(lambda: to_scalar(ad.masked_attention(q, k, v, blocks, 2)),
                             [q, k, v])
         assert err < GRAD_TOL
 

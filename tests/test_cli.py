@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from contactformer import cli
+from contactformer import cli, pdb_io
 from contactformer.data import SplitManifest, load_entries
 from contactformer.model import ModelConfig
 from contactformer.train import TrainConfig
@@ -64,8 +64,9 @@ class TestPrep:
         for name in ("processed.tsv", "labels.tsv", "rejects.log"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
-    def test_contact_maps_reach_the_parent_without_text(self, corpus_dir, tmp_path, monkeypatch):
-        # Workers return int32 pair arrays; only save_entries writes the pair text.
+    def test_pair_text_is_made_once_per_row_and_never_parsed(self, corpus_dir, tmp_path,
+                                                             monkeypatch):
+        # A worker serializes each accepted row's map once; the parent writes that text as is.
         from contactformer import contacts
         plain = prep_corpus(corpus_dir, tmp_path / "plain")
         calls = {}
@@ -78,9 +79,67 @@ class TestPrep:
 
             monkeypatch.setattr(owner, name, counted)
         out = prep_corpus(corpus_dir, tmp_path / "counted", extra=["--workers", "1"])
-        assert calls == {"serialize_contacts": 0, "deserialize_contacts": 0}
+        assert calls == {"serialize_contacts": 10, "deserialize_contacts": 0}  # 10 accepted
         for name in ("processed.tsv", "labels.tsv", "rejects.log"):
             assert (out / name).read_bytes() == (plain / name).read_bytes()
+
+    def test_outputs_do_not_depend_on_chunk_boundaries(self, tmp_path, capsys, monkeypatch):
+        # The index names 44 files, more than 8 x 3 workers, so every pool chunk holds
+        # several files; one file has two rows far apart in the index.
+        pdbs = tmp_path / "pdbs"
+        pdbs.mkdir()
+        names = sorted(pdb_io.AA3_TO_1)
+
+        def write(name, residues):
+            (pdbs / name).write_text("".join(
+                f"ATOM  {i:5d}  CA  {res:>3s} A{i:4d}    {x:8.3f}{y:8.3f}{z:8.3f}\n"
+                for i, res, (x, y, z) in residues))
+
+        rows = []
+        for k in range(40):
+            n = 4 + k % 9
+            write(f"f{k:02d}.pdb", [(i, names[(i + k) % 20],
+                                     (3.8 * i, 2.0 * ((i + k) % 3), 1.5 * (i % 2)))
+                                    for i in range(1, n + 1)])
+            rows.append(f"e{k:02d}\tf{k:02d}.pdb\tA\t-\t-\tsf.{k % 5}\n")
+        rows.insert(30, "e07part\tf07.pdb\tA\t2\t5\tsf.9\n")
+        write("bad.pdb", [(1, "ALA", (0.0, 0.0, 0.0))])
+        (pdbs / "bad.pdb").write_text((pdbs / "bad.pdb").read_text().replace("0.000", "x.xxx", 1))
+        write("gap.pdb", [(i, "GLY", (3.8 * i, 0.0, 0.0)) for i in (1, 2, 5)])
+        write("mod.pdb", [(1, "ALA", (0.0, 0.0, 0.0)), (2, "MSE", (3.8, 0.0, 0.0))])
+        for at, row in ((3, "missing\tnope.pdb\tA\t-\t-\tsf.1\n"),
+                        (12, "bad\tbad.pdb\tA\t-\t-\tsf.1\n"),
+                        (25, "gap\tgap.pdb\tA\t-\t-\tsf.2\n"),
+                        (37, "mod\tmod.pdb\tA\t-\t-\tsf.3\n")):
+            rows.insert(at, row)
+        index = tmp_path / "index.tsv"
+        index.write_text("".join(rows))
+
+        chunksizes = []
+
+        class Pool(cli.ProcessPoolExecutor):
+            def map(self, fn, *iterables, chunksize=1, **kwargs):
+                chunksizes.append(chunksize)
+                return super().map(fn, *iterables, chunksize=chunksize, **kwargs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        outs = {}
+        for workers in (1, 2, 3):
+            out = tmp_path / f"w{workers}"
+            assert run(["prep", "--index", index, "--pdb-dir", pdbs, "--out", out,
+                        "--workers", workers]) == 0
+            stdout = [ln for ln in capsys.readouterr().out.splitlines()
+                      if not ln.startswith(("# out = ", "# workers = "))]
+            outs[workers] = [stdout] + [(out / name).read_bytes()
+                                        for name in ("processed.tsv", "labels.tsv", "rejects.log")]
+        assert min(chunksizes) > 1 and len(chunksizes) == 2
+        assert outs[1] == outs[2] == outs[3]
+        assert "# accepted = 41" in outs[1][0]
+        saved = [e.id for e in load_entries(tmp_path / "w1" / "processed.tsv")]
+        assert saved.index("e07") < saved.index("e29") < saved.index("e07part")
+        reasons = [ln.split(b"\t")[:2] for ln in outs[1][3].splitlines()]
+        assert reasons == [[b"missing", b"NOT_FOUND"], [b"bad", b"MALFORMED"],
+                           [b"gap", b"INCOMPLETE"], [b"mod", b"NONSTANDARD"]]
 
     def test_each_file_is_read_once(self, corpus_dir, tmp_path, monkeypatch):
         # 12 rows name 11 files: 3ca0.pdb twice, and 9zz0.pdb is missing

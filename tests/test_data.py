@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from contactformer.contacts import ContactMap, deserialize_contacts
+from contactformer.contacts import ContactMap, deserialize_contacts, serialize_contacts
 from test_contacts import mutate, outcome
 from contactformer.data import (
     ALPHABET,
@@ -19,7 +19,9 @@ from contactformer.data import (
     compute_class_weights,
     entry_from_line,
     entry_to_line,
+    load_entries,
     read_index,
+    save_entries,
     stratified_split,
     tokenize,
 )
@@ -260,6 +262,16 @@ class TestEntryIO:
     def test_entry_validates_lengths(self):
         with pytest.raises(LengthMismatch):
             Entry("e", "ACD", ContactMap(2), 0)
+
+    def test_saved_rows_are_the_lines_of_their_entries(self, tmp_path):
+        # save_entries takes rows in field form; each line is the entry's own line.
+        entries = [entry("1abcA", "ACDY", pairs=[(0, 2), (1, 3)], label=7),
+                   entry("x", "AC", label=1)]
+        path = tmp_path / "processed.tsv"
+        save_entries(path, [(e.id, e.label, e.sequence, serialize_contacts(e.contact_map))
+                            for e in entries])
+        assert path.read_text() == "".join(map(entry_to_line, entries))
+        assert load_entries(path) == entries
 
 
 
