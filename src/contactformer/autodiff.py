@@ -108,8 +108,8 @@ class Node:
 class Tensor:
     """Dense array plus an optional gradient buffer of the same shape.
 
-    An op output that is recorded has a Node; _parents and _backward
-    read (and _backward replaces) the node's.
+    An op output that is recorded has a Node; _backward reads (and
+    replaces) the node's.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_node")
@@ -121,10 +121,6 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._node: Node | None = None
-
-    @property
-    def _parents(self) -> tuple:
-        return () if self._node is None else self._node._parents
 
     @property
     def _backward(self):
@@ -182,9 +178,9 @@ class Tensor:
                 continue
             visited.add(id(node))
             stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in visited:
-                    stack.append((parent, False))
+            if isinstance(node, Node):  # a Tensor here is a leaf
+                stack.extend((parent, False) for parent in node._parents
+                             if id(parent) not in visited)
 
         # Popping drops topo's reference to each node as the sweep passes it.
         grads: dict[int, np.ndarray] = {id(root): grad}

@@ -12,12 +12,13 @@ import re
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import pdb_io
-from .contacts import build_contact_map, serialize_contacts
+from .contacts import DEFAULT_THRESHOLD, build_contact_map, serialize_contacts
 from .data import (
     ATTENTION_MODES,
     Entry,
@@ -122,7 +123,7 @@ def cmd_prep(args) -> int:
              for pdb_path, file_rows in by_file.items()]
     if args.workers > 1:
         # A few large chunks per worker: few round trips, and a short tail at the end.
-        chunksize = -(-len(tasks) // (8 * args.workers))
+        chunksize = max(1, -(-len(tasks) // (8 * args.workers)))  # 1 when all rows are malformed
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             per_file = list(pool.map(_prep_one, tasks, chunksize=chunksize))
     else:
@@ -187,7 +188,7 @@ def _load_splits(data_dir, manifest_path=None) -> tuple[dict[str, list[Entry]], 
 
 # --- train -----------------------------------------------------------------
 
-# the train flag that sets each ModelConfig and TrainConfig field
+# the train flag that sets each ModelConfig and TrainConfig field; the field gives its default
 _MODEL_FLAGS = {"embed_dim": "--embed-dim", "n_heads": "--heads", "n_layers": "--layers",
                 "ffn_dim": "--ffn-dim", "dropout": "--dropout", "max_len": "--max-len",
                 "attention_mode": "--attention"}
@@ -195,11 +196,16 @@ _TRAIN_FLAGS = {"lr": "--lr", "batch_size": "--batch-size", "max_epochs": "--epo
                 "patience": "--patience", "seed": "--seed"}
 
 
+def _dest(flag: str) -> str:
+    """The argparse attribute of a --flag."""
+    return flag[2:].replace("-", "_")
+
+
 def _train_configs(args, n_classes: int) -> tuple[ModelConfig, TrainConfig]:
     """The configs train's flags describe. Their checks are the only range checks
     of those flags: each raises ValueError for a value out of range."""
     def values(flags):
-        return {field: getattr(args, flag[2:].replace("-", "_")) for field, flag in flags.items()}
+        return {field: getattr(args, _dest(flag)) for field, flag in flags.items()}
 
     return (ModelConfig(n_classes=n_classes, use_positional=not args.no_positional,
                         **values(_MODEL_FLAGS)),
@@ -265,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "res_start res_end superfamily ('-' in both = whole chain)")
     p.add_argument("--pdb-dir", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--threshold", type=finite_positive_float, default=8.0)
+    p.add_argument("--threshold", type=finite_positive_float, default=DEFAULT_THRESHOLD)
     p.add_argument("--workers", type=positive_int, default=1)
     p.set_defaults(func=cmd_prep)
 
@@ -284,23 +290,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--log", default=None, help="epoch CSV (default: <checkpoint>.log.csv)")
-    p.add_argument("--embed-dim", type=int, choices=(128, 256), default=256)
-    p.add_argument("--heads", type=int, default=8)
-    p.add_argument("--layers", type=int, default=5)
-    p.add_argument("--ffn-dim", type=int, default=None,
-                   help="default: 4 * embed-dim")
-    p.add_argument("--dropout", type=float, default=0.1)
-    p.add_argument("--max-len", type=int, default=512)
-    p.add_argument("--attention", choices=ATTENTION_MODES, default="contact")
+    p.add_argument("--embed-dim", type=int)
+    p.add_argument("--heads", type=int)
+    p.add_argument("--layers", type=int)
+    p.add_argument("--ffn-dim", type=int, help="default: 4 * embed-dim")
+    p.add_argument("--dropout", type=float)
+    p.add_argument("--max-len", type=int)
+    p.add_argument("--attention", choices=ATTENTION_MODES)
     p.add_argument("--no-positional", action="store_true",
                    help="disable sinusoidal positional encodings")
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--patience", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--patience", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--no-class-weights", action="store_true")
-    p.set_defaults(func=cmd_train)
+    config_defaults = {f.name: f.default for config in (ModelConfig, TrainConfig)
+                       for f in fields(config)}
+    p.set_defaults(func=cmd_train, **{_dest(flag): config_defaults[field]
+                                      for field, flag in (_MODEL_FLAGS | _TRAIN_FLAGS).items()})
 
     p = sub.add_parser("evaluate", help="metric report for one split")
     p.add_argument("--data", required=True)

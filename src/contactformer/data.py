@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contacts import ContactMap, deserialize_contacts, serialize_contacts
+from .contacts import ContactMap, deserialize_contacts
 
 ALPHABET = "ACDEFGHIKLMNPQRSTVWY"
 TOKEN_OF = {aa: i + 1 for i, aa in enumerate(ALPHABET)}
@@ -77,9 +77,6 @@ class LabelIndex:
     def index_of(self, superfamily_id: str) -> int:
         return self._index[superfamily_id]
 
-    def id_of(self, index: int) -> str:
-        return self._ids[index]
-
     def to_text(self) -> str:
         return "".join(f"{sf}\t{i}\n" for i, sf in enumerate(self._ids))
 
@@ -115,7 +112,18 @@ class SplitManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "SplitManifest":
+        """ValueError unless text is to_json's shape: an object with an integer seed,
+        ids mapping each split to a list of entry ids, class_counts each split to an object."""
         payload = json.loads(text)
+        if not (isinstance(payload, dict) and type(payload.get("seed")) is int
+                and isinstance(payload.get("ids"), dict)
+                and all(isinstance(ids, list) and all(isinstance(i, str) for i in ids)
+                        for ids in payload["ids"].values())
+                and isinstance(payload.get("class_counts"), dict)
+                and all(isinstance(counts, dict) for counts in payload["class_counts"].values())):
+            raise ValueError("split manifest must be an object with an integer seed, ids "
+                             "mapping each split to a list of entry ids, and class_counts "
+                             "mapping each split to an object")
         return cls(
             seed=payload["seed"],
             ids=payload["ids"],
@@ -291,19 +299,9 @@ def read_index(path) -> tuple[list[IndexRow], list[tuple[str, str]]]:
     return rows, malformed
 
 
-def fields_to_line(entry_id: str, label: int, sequence: str, pairs: str) -> str:
-    """One processed.tsv line; pairs is the pair field (see :func:`serialize_contacts`)."""
-    return f"{entry_id}\t{label}\t{sequence}\t{pairs}\n"
-
-
-def entry_to_line(entry: Entry) -> str:
-    return fields_to_line(entry.id, entry.label, entry.sequence,
-                          serialize_contacts(entry.contact_map))
-
-
 def entry_from_line(line: str) -> Entry:
-    """Inverse of :func:`entry_to_line`; ValueError naming the entry if the line is
-    malformed (the pair field: see :func:`deserialize_contacts`)."""
+    """The entry of one processed.tsv line (see :func:`save_entries`); ValueError naming
+    the entry if the line is malformed (the pair field: see :func:`deserialize_contacts`)."""
     fields = line.rstrip("\n").split("\t")
     try:
         entry_id, label, sequence, pairs = fields
@@ -313,9 +311,10 @@ def entry_from_line(line: str) -> Entry:
 
 
 def save_entries(path, rows) -> None:
-    """Write processed.tsv from rows in field form: (entry id, label, sequence, pair field)."""
+    """Write processed.tsv: one tab-separated line per (entry id, label, sequence, pair field)."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(fields_to_line(*row) for row in rows)
+        fh.writelines(f"{entry_id}\t{label}\t{sequence}\t{pairs}\n"
+                      for entry_id, label, sequence, pairs in rows)
 
 
 def load_entries(path) -> list[Entry]:

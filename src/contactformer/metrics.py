@@ -14,6 +14,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+SIZE_THRESHOLDS = (10, 30)  # class sizes that split the report's buckets
+
 
 class DegenerateC(ValueError):
     """Per-instance AUC needs at least two classes."""
@@ -150,18 +152,13 @@ def per_instance_auc(prob: np.ndarray, labels) -> float:
     return float(instance_auc_scores(prob, labels).mean())
 
 
-def threshold_report(
-    y_true,
-    y_pred,
-    class_sizes,
-    thresholds=(10, 30),
-) -> dict[str, BucketMetrics | None]:
+def threshold_report(y_true, y_pred, class_sizes) -> dict[str, BucketMetrics | None]:
     """Bucket instances by their true class's full-dataset size.
 
     class_sizes[c] is the size of class c in the complete pre-split
-    dataset, which is what the size thresholds refer to. For each
-    threshold t two buckets are reported (ge / lt); an empty bucket is
-    reported as None, not as zeros.
+    dataset, which is what SIZE_THRESHOLDS refer to. For each threshold
+    t two buckets are reported (ge / lt); an empty bucket is reported as
+    None, not as zeros.
     """
     y_true = np.asarray(y_true)
     y_pred = np.asarray(y_pred)
@@ -170,7 +167,7 @@ def threshold_report(
     instance_sizes = class_sizes[y_true]
 
     report: dict[str, BucketMetrics | None] = {}
-    for t in thresholds:
+    for t in SIZE_THRESHOLDS:
         for name, mask in ((f"ge{t}", instance_sizes >= t), (f"lt{t}", instance_sizes < t)):
             if not mask.any():
                 report[name] = None

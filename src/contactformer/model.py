@@ -162,7 +162,7 @@ def multi_head_attention(
     blocks: list[np.ndarray],
     params: dict[str, Parameter],
     n_heads: int,
-    prefix: str = "attn",
+    prefix: str,
 ) -> Tensor:
     """Masked multi-head self-attention over packed states x (T, d); n_heads divides d.
 

@@ -66,9 +66,6 @@ class ChainStructure:
     chain_id: str
     residues: tuple[Residue, ...]
 
-    def __len__(self) -> int:
-        return len(self.residues)
-
     def ca_coordinates(self) -> np.ndarray:
         """(N, 3) float64 array of CA positions in residue order."""
         return np.array([r.ca_position for r in self.residues], dtype=np.float64)

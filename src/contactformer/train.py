@@ -126,7 +126,6 @@ def train(
     train_config: TrainConfig,
     checkpoint_path=None,
     label_index_hash: str = "",
-    params: dict | None = None,
     verbose: bool = False,
 ) -> TrainResult:
     """Fit the encoder; returns the final params plus the per-epoch log.
@@ -141,8 +140,7 @@ def train(
     if not train_entries or not val_entries:
         raise ValueError("train and validation sets must be non-empty")
     cfg = train_config
-    if params is None:
-        params = init_params(model_config, np.random.default_rng([cfg.seed, 1]))
+    params = init_params(model_config, np.random.default_rng([cfg.seed, 1]))
     dropout_rng = np.random.default_rng([cfg.seed, 2])
 
     c = model_config.n_classes

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from contactformer import cli, pdb_io
+from contactformer.contacts import DEFAULT_THRESHOLD
 from contactformer.data import SplitManifest, load_entries
 from contactformer.model import ModelConfig
 from contactformer.train import TrainConfig
@@ -23,6 +24,15 @@ def prep_corpus(corpus_dir, out_dir, extra=()):
                 "--pdb-dir", corpus_dir / "pdbs", "--out", out_dir, *extra])
     assert code == 0
     return out_dir
+
+
+# a manifest of the wrong shape, made from the real one
+MALFORMED_MANIFESTS = {
+    "number": lambda m: 3,
+    "list": lambda m: [1, 2],
+    "ids_not_lists": lambda m: {**m, "ids": {**m["ids"], "train": 5}},
+    "class_counts_not_an_object": lambda m: {**m, "class_counts": []},
+}
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +150,26 @@ class TestPrep:
         reasons = [ln.split(b"\t")[:2] for ln in outs[1][3].splitlines()]
         assert reasons == [[b"missing", b"NOT_FOUND"], [b"bad", b"MALFORMED"],
                            [b"gap", b"INCOMPLETE"], [b"mod", b"NONSTANDARD"]]
+
+    def test_all_malformed_index_gives_the_same_rejects_on_any_worker_count(self, tmp_path,
+                                                                           capsys):
+        # no row reaches the pool, which must still start and hand back nothing
+        index = tmp_path / "index.tsv"
+        index.write_text("e1\tx.pdb\tA\t5\t-\tsf1\ne2\tx.pdb\tA\n")
+        outs = {}
+        for workers in (1, 2, 3):
+            out = tmp_path / f"w{workers}"
+            assert run(["prep", "--index", index, "--pdb-dir", tmp_path, "--out", out,
+                        "--workers", workers]) == 2
+            captured = capsys.readouterr()
+            assert "no entries survived" in captured.err
+            stdout = [ln for ln in captured.out.splitlines()
+                      if not ln.startswith(("# out = ", "# workers = "))]
+            outs[workers] = stdout, (out / "rejects.log").read_bytes()
+        assert outs[1] == outs[2] == outs[3]
+        assert "# rejected[MALFORMED] = 2" in outs[1][0]
+        assert [ln.split(b"\t")[:2] for ln in outs[1][1].splitlines()] == [
+            [b"e1", b"MALFORMED"], [b"e2", b"MALFORMED"]]
 
     def test_each_file_is_read_once(self, corpus_dir, tmp_path, monkeypatch):
         # 12 rows name 11 files: 3ca0.pdb twice, and 9zz0.pdb is missing
@@ -441,6 +471,25 @@ class TestTrainEvaluateEmbed:
         assert len(vec.split(",")) == 128
         float(vec.split(",")[0])
 
+    @pytest.mark.parametrize("subcommand", ["train", "evaluate", "embed"])
+    @pytest.mark.parametrize("kind", sorted(MALFORMED_MANIFESTS))
+    def test_malformed_manifest_is_data_error(self, pipeline_dir, tmp_path, capsys,
+                                              subcommand, kind):
+        payload = json.loads((pipeline_dir / "manifest.json").read_text())
+        (tmp_path / "manifest.json").write_text(json.dumps(MALFORMED_MANIFESTS[kind](payload)))
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = {"train": ["--checkpoint", out / "x.ckpt", "--epochs", 1],
+                "evaluate": ["--checkpoint", pipeline_dir / "model.ckpt",
+                             "--out", out / "report.json", "--text", out / "report.txt"],
+                "embed": ["--checkpoint", pipeline_dir / "model.ckpt", "--split", "test",
+                          "--out", out / "emb.tsv"]}[subcommand]
+        assert run([subcommand, "--data", pipeline_dir,
+                    "--manifest", tmp_path / "manifest.json", *argv]) == 2
+        err = capsys.readouterr().err
+        assert "data error: split manifest must be an object" in err
+        assert list(out.iterdir()) == []
+
     def test_embed_rerun_byte_identical(self, pipeline_dir, tmp_path):
         outs = [tmp_path / "e1.tsv", tmp_path / "e2.tsv"]
         for out in outs:
@@ -458,7 +507,9 @@ class _Loaded(Exception):
 TRAIN_FLAGS = {
     "--lr": ("train", "lr", st.sampled_from([-1.0, 0.0, 1e-3, math.nan, math.inf])),
     "--dropout": ("model", "dropout", st.sampled_from([-0.1, 0.0, 0.5, 1.0, math.nan])),
-    "--heads": ("model", "n_heads", st.integers(-1, 9)),  # 3, 5, 6, 7, 9 do not divide 256
+    "--embed-dim": ("model", "embed_dim", st.sampled_from([-1, 0, 12, 64, 100, 128, 256])),
+    # 3, 5, 6, 7, 9 do not divide the default embed_dim, 256
+    "--heads": ("model", "n_heads", st.integers(-1, 9)),
     "--max-len": ("model", "max_len", st.integers(-1, 2)),
     "--layers": ("model", "n_layers", st.integers(-2, 2)),
     "--ffn-dim": ("model", "ffn_dim", st.integers(-1, 2)),
@@ -586,6 +637,7 @@ class TestExitCodes:
     @example(flags={"--lr": 0.0, "--dropout": 0.0, "--heads": 1, "--max-len": 1, "--layers": 0,
                     "--ffn-dim": 1, "--epochs": 1, "--patience": 1, "--seed": 0,
                     "--batch-size": 1})
+    @example(flags={"--embed-dim": 64, "--heads": 8})
     def test_configs_alone_decide_train_flag_ranges(self, tmp_path, flags):
         given_flags = {flag: value for flag, value in flags.items() if value is not None}
         kwargs = {"model": {"n_classes": 1}, "train": {}}
@@ -628,3 +680,15 @@ class TestExitCodes:
                     "--manifest", pipeline_dir / "manifest.json",
                     "--checkpoint", tmp_path / "x.ckpt", "--epochs", 1])
         assert code == 3
+
+
+class TestParserDefaults:
+    def test_train_defaults_are_the_configs(self):
+        args = cli.build_parser().parse_args(["train", "--data", "d", "--manifest", "m",
+                                              "--checkpoint", "c"])
+        assert cli._train_configs(args, 1) == (ModelConfig(n_classes=1), TrainConfig())
+
+    def test_prep_threshold_defaults_to_the_contact_threshold(self):
+        args = cli.build_parser().parse_args(["prep", "--index", "i", "--pdb-dir", "p",
+                                              "--out", "o"])
+        assert args.threshold == DEFAULT_THRESHOLD

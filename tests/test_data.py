@@ -18,7 +18,6 @@ from contactformer.data import (
     batch_encode,
     compute_class_weights,
     entry_from_line,
-    entry_to_line,
     load_entries,
     read_index,
     save_entries,
@@ -248,14 +247,24 @@ class TestBatchEncode:
             batch_encode([])
 
 
-class TestEntryIO:
-    def test_line_round_trip(self):
-        e = entry("1abcA", "ACDY", pairs=[(0, 2), (1, 3)], label=7)
-        assert entry_from_line(entry_to_line(e)) == e
+def saved_text(tmp_path, entries) -> str:
+    """processed.tsv's text as save_entries writes it for entries."""
+    path = tmp_path / "processed.tsv"
+    save_entries(path, [(e.id, e.label, e.sequence, serialize_contacts(e.contact_map))
+                        for e in entries])
+    return path.read_text()
 
-    def test_line_round_trip_without_contacts(self):
+
+class TestEntryIO:
+    def test_line_round_trip(self, tmp_path):
+        e = entry("1abcA", "ACDY", pairs=[(0, 2), (1, 3)], label=7)
+        line = saved_text(tmp_path, [e])
+        assert line == "1abcA\t7\tACDY\t0-2,1-3\n"
+        assert entry_from_line(line) == e
+
+    def test_line_round_trip_without_contacts(self, tmp_path):
         e = entry("x", "AC", label=1)
-        line = entry_to_line(e)
+        line = saved_text(tmp_path, [e])
         assert line == "x\t1\tAC\t\n"
         assert entry_from_line(line) == e
 
@@ -267,11 +276,8 @@ class TestEntryIO:
         # save_entries takes rows in field form; each line is the entry's own line.
         entries = [entry("1abcA", "ACDY", pairs=[(0, 2), (1, 3)], label=7),
                    entry("x", "AC", label=1)]
-        path = tmp_path / "processed.tsv"
-        save_entries(path, [(e.id, e.label, e.sequence, serialize_contacts(e.contact_map))
-                            for e in entries])
-        assert path.read_text() == "".join(map(entry_to_line, entries))
-        assert load_entries(path) == entries
+        assert saved_text(tmp_path, entries) == "1abcA\t7\tACDY\t0-2,1-3\nx\t1\tAC\t\n"
+        assert load_entries(tmp_path / "processed.tsv") == entries
 
 
 
@@ -401,7 +407,7 @@ class TestLabelIndex:
         idx = LabelIndex(["b.2", "a.1", "c.3", "a.1"])
         assert len(idx) == 3
         assert idx.index_of("a.1") == 0
-        assert idx.id_of(2) == "c.3"
+        assert idx.to_text() == "a.1\t0\nb.2\t1\nc.3\t2\n"
 
     def test_text_round_trip(self):
         idx = LabelIndex(["b.2", "a.1"])
@@ -413,4 +419,5 @@ class TestLabelIndex:
         # ids may hold U+0085, U+2028 and other breaks that str.splitlines splits at
         idx = LabelIndex(ids)
         again = LabelIndex.from_text(idx.to_text())
-        assert [again.id_of(i) for i in range(len(again))] == sorted(set(ids))
+        expected = "".join(f"{sf}\t{i}\n" for i, sf in enumerate(sorted(set(ids))))
+        assert again.to_text() == expected

@@ -164,7 +164,7 @@ class TestThresholdReport:
         sizes = np.array([5, 50])
         y_true = np.array([0] * 5 + [1] * 50)
         y_pred = y_true.copy()
-        report = threshold_report(y_true, y_pred, sizes, thresholds=(10,))
+        report = threshold_report(y_true, y_pred, sizes)
         assert report["lt10"].n_instances == 5
         assert report["ge10"].n_instances == 50
 
@@ -176,7 +176,7 @@ class TestThresholdReport:
             sizes = rng.integers(1, 40, size=c)
             y_true = rng.integers(0, c, size=n)
             y_pred = rng.integers(0, c, size=n)
-            report = threshold_report(y_true, y_pred, sizes, thresholds=(10,))
+            report = threshold_report(y_true, y_pred, sizes)
             mask = sizes[y_true] >= 10
             for name, m in (("ge10", mask), ("lt10", ~mask)):
                 if not m.any():

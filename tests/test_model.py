@@ -227,8 +227,8 @@ class TestMultiHeadAttention:
         (ctx,) = made
         assert ctx.shape == x.shape
         # graph parents are nodes; the leaves x and the weights stand for themselves
-        assert out._parents[0] is ctx._node
-        assert [p._parents[:2] for p in ctx._parents] == [
+        assert out._node._parents[0] is ctx._node
+        assert [p._parents[:2] for p in ctx._node._parents] == [
             (x, params[f"layers.0.attn.{name}.weight"].tensor) for name in "qkv"]
 
 

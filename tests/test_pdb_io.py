@@ -69,7 +69,7 @@ class TestParseStructure:
     def test_hand_written_line_round_trips_fields(self):
         text = atom_line(1143, xyz=(1.0, 2.0, 3.0)) + "\n"
         chain = parse_structure(text, "C")
-        assert len(chain) == 1
+        assert len(chain.residues) == 1
         r = chain.residues[0]
         assert r.seq_id == 1143
         assert r.ca_position == (1.0, 2.0, 3.0)
@@ -150,7 +150,7 @@ class TestParseStructure:
             atom_line(4, xyz=(9.0, 9.0, 9.0)),
         ])
         chain = parse_structure(text, "C")
-        assert len(chain) == 1
+        assert len(chain.residues) == 1
         assert chain.residues[0].ca_position == (0.0, 0.0, 0.0)
 
     def test_non_finite_coordinates_rejected(self):
@@ -279,7 +279,7 @@ class TestParseStructureFuzz:
         except ValueError as exc:
             assert len(chain_id) != 1 and "chain_id" in str(exc)
             return
-        assert len(chain) >= 1 and np.isfinite(chain.ca_coordinates()).all()
+        assert len(chain.residues) >= 1 and np.isfinite(chain.ca_coordinates()).all()
 
     @given(data=st.data(), chain_id=st.sampled_from(["A", "B", "C", "D", " ", "", "CD"]),
            residue_range=st.none() | st.tuples(st.integers(-2, 6), st.integers(-2, 6)))
@@ -317,7 +317,7 @@ class TestResiduesToSequence:
         text = "\n".join(atom_line(i) for i in range(1100, 1300))
         chain = parse_structure(text, "C", residue_range=(1143, 1264))
         seq = residues_to_sequence(chain)
-        assert len(seq) == len(chain) == 122
+        assert len(seq) == len(chain.residues) == 122
 
 
 class TestCheckCompleteness:

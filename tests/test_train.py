@@ -85,17 +85,17 @@ class TestTrainingLoop:
         # saves are strictly improving, so best <= every epoch's val loss
         assert all(result.best_val_loss <= r.val_loss + 1e-12 for r in result.history)
 
-    def test_divergence_raises_and_dumps_state(self, tmp_path):
+    def test_divergence_raises_and_dumps_state(self, tmp_path, monkeypatch):
         entries = overfit_dataset(8, 4, length=6, seed=2)
         cfg = overfit_config(dropout=0.0)
-        from contactformer.model import init_params
         params = init_params(cfg, np.random.default_rng(0))
         params["classifier.weight"].tensor.data[0, 0] = np.nan
+        monkeypatch.setattr(train_mod, "init_params", lambda *_: params)
         path = tmp_path / "model.ckpt"
         with pytest.raises(Divergence):
             train(cfg, entries, entries,
                   TrainConfig(lr=1e-3, batch_size=4, max_epochs=2, seed=0),
-                  checkpoint_path=path, params=params)
+                  checkpoint_path=path)
         assert (tmp_path / "model.ckpt.divergence.json").exists()
 
     @given(target=st.integers(0, 10_000), element=st.integers(0, 10**6),
@@ -140,11 +140,12 @@ class TestTrainingLoop:
             mp.setattr(train_mod, "AdamState", make_state)
             mp.setattr(train_mod, "adam_step", adam)
             mp.setattr(ad.Tensor, "backward", backward)
+            mp.setattr(train_mod, "init_params", lambda *_: params)
             path = Path(tmp) / "model.ckpt"
             with pytest.raises(Divergence, match="gradient"):
                 train(cfg, entries, entries,
                       TrainConfig(lr=1e-3, batch_size=4, max_epochs=2, seed=0),
-                      checkpoint_path=path, params=params)
+                      checkpoint_path=path)
             assert (Path(tmp) / "model.ckpt.divergence.json").exists()
         assert len(snapshots) == bad_step
         assert state_bytes() == (snapshots[-1] if snapshots else before)
@@ -384,7 +385,7 @@ class TestAutodiffGraph:
                                     rng=np.random.default_rng(1))
         loss = ad.weighted_cross_entropy(logits, batch.labels,
                                          compute_class_weights(batch.labels, cfg.n_classes))
-        stack, seen, n_parents = [loss], set(), 0
+        stack, seen, n_parents = [loss._node], set(), 0
         while stack:
             node = stack.pop()
             if id(node) in seen:
@@ -393,7 +394,8 @@ class TestAutodiffGraph:
             for parent in node._parents:
                 assert parent.requires_grad, f"constant parent {parent!r}"
                 n_parents += 1
-                stack.append(parent)
+                if isinstance(parent, ad.Node):  # a Tensor parent is a leaf
+                    stack.append(parent)
         assert n_parents > len(params)
 
 
