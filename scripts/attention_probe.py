@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
 """Time the encoder's attention core, ad.masked_attention, on packed batches.
 
-Two cases, each packed by model.pack from chains of perfbench/gen.py's
-protein-like generator (30-500 residues, contact mode):
+Three cases, each packed by model.pack from chains of perfbench/gen.py's
+protein-like generator (30-500 residues):
 
 * paper: one batch of --batch-size chains at --max-len, with
   --embed-dim split over --heads (defaults: the paper's B=64,
-  max_len 512, d=256, 8 heads);
+  max_len 512, d=256, 8 heads), in contact mode;
+* paper-full: the same batch in full mode, where every block allows
+  every entry;
 * long: the long benchmark workload's training batches (32 chains,
-  seed 1, B=8, max_len 256, d=128, 8 heads).
+  seed 1, B=8, max_len 256, d=128, 8 heads), in contact mode.
 
 q, k and v are random float32 (T, d) rows, split into the heads by the
 op; its cost does not depend on their values. For each case it prints the median over
@@ -53,12 +55,12 @@ def chains(n: int) -> list[Entry]:
 
 
 def probe(name: str, batches: list[list[Entry]], max_len: int, d: int, heads: int,
-          repeats: int) -> None:
+          repeats: int, mode: str = "contact") -> None:
     rng = np.random.default_rng(0)
     calls = []
     allowed = cells = 0
     for entries in batches:
-        _, blocks = pack(batch_encode(entries, max_len, "contact"))
+        _, blocks = pack(batch_encode(entries, max_len, mode))
         t = sum(block.shape[0] * block.shape[1] for block in blocks)
         q, k, v, g = (rng.standard_normal((t, d)).astype(np.float32) for _ in range(4))
         calls.append((q, k, v, g, blocks))
@@ -110,8 +112,9 @@ def main() -> int:
     if args.embed_dim % args.heads:
         parser.error(f"--embed-dim {args.embed_dim} is not divisible by --heads {args.heads}")
 
-    probe("paper", [chains(args.batch_size)], args.max_len, args.embed_dim, args.heads,
-          args.repeats)
+    paper_chains = chains(args.batch_size)
+    for name, mode in (("paper", "contact"), ("paper-full", "full")):
+        probe(name, [paper_chains], args.max_len, args.embed_dim, args.heads, args.repeats, mode)
     long_chains = chains(32)
     probe("long", [long_chains[i:i + 8] for i in range(0, 32, 8)], 256, 128, 8, args.repeats)
     return 0

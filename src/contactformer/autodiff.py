@@ -17,7 +17,7 @@ arrays it reads, never a parent Tensor. So an intermediate's data dies
 with its last Python reference unless a closure reads it:
 
 - ``linear`` keeps its input (a view), ``mul`` and ``matmul`` both
-  operands, ``masked_attention`` q, k, v and its compact weights;
+  operands, ``masked_attention`` q, k, v and its weights;
 - ``relu``, ``linear_relu`` and ``masked_softmax`` keep their output
   (ReLU's sign is its input's); ``layer_norm`` keeps ``xhat``, ``1/std``;
 - ``dropout`` keeps a bool keep mask and rebuilds the scaled mask from it;
@@ -47,7 +47,8 @@ disallow block alone; heads are views of the columns. Its score and
 value products are dense per block (BLAS), but its softmax runs over the
 allowed (query, key) entries only, and all it keeps for backward is
 their weights, one (H, E) array per block for E allowed entries;
-backward rebuilds the dense weights in one scratch buffer.
+backward rebuilds the dense weights in one scratch buffer. A block that
+allows every entry (full mode) runs the same steps densely in place.
 :func:`masked_softmax` runs a dense softmax on a copy of its input.
 :func:`scatter` puts packed rows back into a padded array for pooling.
 
@@ -413,10 +414,12 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, blocks: Sequence[np.ndarra
     array, the attention weights, is all the node keeps for backward.
     Row sums are taken over a zeroed dense buffer holding the allowed
     values, so outputs and gradients are bit-identical to a dense masked
-    softmax. Raises ShapeMismatch for blocks that are not (count, n, n) or
-    do not tile the T rows, or for n_heads that does not divide d and dv;
-    and ValueError for a block with a query that allows no key (the
-    encoder's masks always allow the diagonal).
+    softmax. A block that allows every entry (full mode) skips the
+    gathers: the same steps run in place on its score buffer, which the
+    node keeps whole. Raises ShapeMismatch for blocks that are not
+    (count, n, n) or do not tile the T rows, or for n_heads that does not
+    divide d and dv; and ValueError for a block with a query that allows no
+    key (the encoder's masks always allow the diagonal).
     """
     h, qd, kd, vd = n_heads, q.data, k.data, v.data
     if (q.data.ndim != 2 or k.shape != q.shape or v.data.ndim != 2 or v.shape[0] != q.shape[0]
@@ -449,42 +452,56 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, blocks: Sequence[np.ndarra
     out = np.empty(vd.shape, dtype=vd.dtype)
     weights = []
     for number in range(len(shapes)):
-        index, degree = allowed(number)
-        if not degree.all():
-            raise ValueError(f"masked_attention: block {number} {shapes[number]} "
-                             "has a query that allows no key")
         # a C-ordered (H, count, n, n) buffer, so that each head's scores are one flat run
         s = np.matmul(heads(qd, number), np.swapaxes(heads(kd, number), -1, -2),
                       out=np.empty((h, *shapes[number]), dtype=qd.dtype))
-        dense = s.reshape(h, -1)
-        w = np.take(dense, index, axis=1)
-        w *= c
-        w -= np.repeat(np.maximum.reduceat(w, np.cumsum(degree) - degree, axis=1), degree, axis=1)
-        np.exp(w, out=w)
-        s.fill(0)
-        dense[:, index] = w
-        w /= row_sums(s, degree)
-        dense[:, index] = w
+        if np.size(blocks[number]) and not np.any(blocks[number]):  # full mode: s is kept
+            s *= c
+            s -= s.max(axis=-1, keepdims=True)
+            np.exp(s, out=s)
+            s /= s.sum(axis=-1, keepdims=True)
+            weights.append(s)
+        else:
+            index, degree = allowed(number)
+            if not degree.all():
+                raise ValueError(f"masked_attention: block {number} {shapes[number]} "
+                                 "has a query that allows no key")
+            dense = s.reshape(h, -1)
+            w = np.take(dense, index, axis=1)
+            w *= c
+            w -= np.repeat(np.maximum.reduceat(w, np.cumsum(degree) - degree, axis=1), degree,
+                           axis=1)
+            np.exp(w, out=w)
+            s.fill(0)
+            dense[:, index] = w
+            w /= row_sums(s, degree)
+            dense[:, index] = w
+            weights.append(w)
         heads(out, number)[...] = s @ heads(vd, number)
-        weights.append(w)
 
     def backward(g):
         gq, gk, gv = (np.empty(a.shape, dtype=a.dtype) for a in (qd, kd, vd))
         for number, w in enumerate(weights):
-            index, degree = allowed(number)
             qg, kg, vg, gg = (heads(a, number) for a in (qd, kd, vd, g))
             # one dense buffer: the weight gradient gs, then p, then gs * p, then the score gradient
             s = np.matmul(gg, np.swapaxes(vg, -1, -2), out=np.empty((h, *shapes[number]), qd.dtype))
-            dense = s.reshape(h, -1)
-            gw = np.take(dense, index, axis=1)
-            s.fill(0)
-            dense[:, index] = w
-            heads(gv, number)[...] = np.swapaxes(s, -1, -2) @ gg
-            dense[:, index] = gw * w
-            gw -= row_sums(s, degree)
-            gw *= w
-            gw *= c
-            dense[:, index] = gw
+            if w.ndim == 4:  # a block that allows every entry kept its dense weights
+                heads(gv, number)[...] = np.swapaxes(w, -1, -2) @ gg
+                s -= (s * w).sum(axis=-1, keepdims=True)
+                s *= w
+                s *= c
+            else:
+                index, degree = allowed(number)
+                dense = s.reshape(h, -1)
+                gw = np.take(dense, index, axis=1)
+                s.fill(0)
+                dense[:, index] = w
+                heads(gv, number)[...] = np.swapaxes(s, -1, -2) @ gg
+                dense[:, index] = gw * w
+                gw -= row_sums(s, degree)
+                gw *= w
+                gw *= c
+                dense[:, index] = gw
             heads(gq, number)[...] = s @ kg
             heads(gk, number)[...] = np.swapaxes(np.swapaxes(qg, -1, -2) @ s, -1, -2)
         return gq, gk, gv

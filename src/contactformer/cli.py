@@ -81,8 +81,7 @@ def _prep_row(text, row, threshold):
         return None, None, "NONSTANDARD", ",".join(report.nonstandard_residues)
     sequence = pdb_io.residues_to_sequence(chain)
     # The finished pair field of processed.tsv: the parent writes it as it comes.
-    return (sequence, serialize_contacts(build_contact_map(chain.ca_coordinates(), threshold)),
-            None, None)
+    return sequence, serialize_contacts(build_contact_map(chain.ca, threshold)), None, None
 
 
 def finite_positive_float(text: str) -> float:
@@ -182,7 +181,11 @@ def _load_splits(data_dir, manifest_path=None) -> tuple[dict[str, list[Entry]], 
     if manifest_path is not None:
         by_id = {e.id: e for e in entries}
         manifest = SplitManifest.from_json(Path(manifest_path).read_text(encoding="utf-8"))
-        splits.update({split: [by_id[i] for i in ids] for split, ids in manifest.ids.items()})
+        for split, ids in manifest.ids.items():
+            if missing := [i for i in ids if i not in by_id]:
+                raise ValueError(f"manifest {manifest_path}: {split} entry {missing[0]!r} "
+                                 "is not in processed.tsv")
+            splits[split] = [by_id[i] for i in ids]
     return splits, hash_text(label_text), label_text
 
 

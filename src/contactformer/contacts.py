@@ -93,11 +93,17 @@ def build_contact_map(positions, threshold: float = DEFAULT_THRESHOLD) -> Contac
     if not np.all(np.isfinite(pos)):
         raise NonFiniteCoordinate("positions contain non-finite coordinates")
 
-    # Compare squared distances, summed one axis at a time: exact at the
-    # boundary, no sqrt noise, and no (N, N, 3) difference array.
-    d2 = sum((c[:, None] - c[None, :]) ** 2 for c in pos.T)
-    close = d2 <= threshold * threshold
-    return ContactMap(pos.shape[0], np.argwhere(np.triu(close, 1)))
+    # Compare squared distances, summed over x, y, z in that order in two
+    # (N, N) buffers: exact at the boundary, no sqrt, no (N, N, 3) array.
+    n = pos.shape[0]
+    d2, axis = np.empty((2, n, n))
+    np.square(np.subtract.outer(pos[:, 0], pos[:, 0], out=d2), out=d2)
+    for c in pos.T[1:]:
+        d2 += np.square(np.subtract.outer(c, c, out=axis), out=axis)
+    # row-major flat indices: the pairs i < j come out ascending
+    i, j = np.divmod(np.flatnonzero(d2 <= threshold * threshold), n)
+    upper = i < j
+    return ContactMap(n, np.stack((i[upper], j[upper]), axis=1))
 
 
 def serialize_contacts(cmap: ContactMap) -> str:

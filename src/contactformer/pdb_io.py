@@ -3,7 +3,10 @@
 Only ATOM records are read (HETATM is ignored), only the first model of a
 multi-model file, and only alternate locations ' ' or 'A'. The parser
 returns either a ChainStructure satisfying its invariants or raises a
-typed error; it never returns a partially valid structure.
+typed error; it never returns a partially valid structure. A chain is a
+set of per-residue columns, all in file order: seq ids, insertion codes
+and residue names as tuples, and the CA positions as one read-only
+(N, 3) float64 array.
 
 Column layout (1-based, per the PDB format):
     1-6 record name, 13-16 atom name, 17 altloc, 18-20 residue name,
@@ -49,26 +52,21 @@ class NonstandardResidue(PdbParseError):
     """A residue name is outside the 20 standard amino acids."""
 
 
-@dataclass(frozen=True)
-class Residue:
-    """One residue observed through its CA atom."""
-
-    seq_id: int
-    insertion_code: str  # single character, " " when absent
-    res_name: str        # 3-letter code as parsed, e.g. "ALA" or "MSE"
-    ca_position: tuple[float, float, float]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChainStructure:
-    """Ordered residues of one chain slice, in file order."""
+    """One chain slice as per-residue columns, in file order.
+
+    `residues` holds the 3-letter names as parsed (e.g. "ALA" or "MSE"), so
+    len(chain.residues) is the residue count; `insertion_codes` holds one
+    character per residue, " " when absent. `ca` is the (N, 3) float64 array
+    of CA positions and is read-only. `==` is identity: compare the columns.
+    """
 
     chain_id: str
-    residues: tuple[Residue, ...]
-
-    def ca_coordinates(self) -> np.ndarray:
-        """(N, 3) float64 array of CA positions in residue order."""
-        return np.array([r.ca_position for r in self.residues], dtype=np.float64)
+    seq_ids: tuple[int, ...]
+    insertion_codes: tuple[str, ...]
+    residues: tuple[str, ...]
+    ca: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -127,7 +125,7 @@ def parse_structure(
     if len(chain_id) != 1:
         raise ValueError(f"chain_id must be one character, got {chain_id!r}")
 
-    residues: list[Residue] = []
+    seq_ids, icodes, names, xyz = [], [], [], []  # the columns; xyz flat
     seen: set[tuple[int, str]] = set()
     for raw, line in by_chain.get(chain_id, ()):
         try:
@@ -151,19 +149,24 @@ def parse_structure(
         if key in seen:
             continue
         seen.add(key)
-        residues.append(Residue(seq_id, icode, line[17:20].strip(), (x, y, z)))
+        seq_ids.append(seq_id)
+        icodes.append(icode)
+        names.append(line[17:20].strip())
+        xyz += (x, y, z)
 
-    if not residues:
+    if not seq_ids:
         where = f"chain {chain_id!r}"
         if residue_range is not None:
             where += f" in range {residue_range}"
         raise ChainNotFound(f"no CA ATOM record matches {where}")
-    return ChainStructure(chain_id, tuple(residues))
+    ca = np.array(xyz, dtype=np.float64).reshape(-1, 3)
+    ca.setflags(write=False)
+    return ChainStructure(chain_id, tuple(seq_ids), tuple(icodes), tuple(names), ca)
 
 
 def _nonstandard(chain: ChainStructure) -> tuple[str, ...]:
     """Sorted distinct residue names outside the 20 standard amino acids."""
-    return tuple(sorted({r.res_name for r in chain.residues if r.res_name not in AA3_TO_1}))
+    return tuple(sorted(set(chain.residues).difference(AA3_TO_1)))
 
 
 def residues_to_sequence(chain: ChainStructure) -> str:
@@ -177,7 +180,7 @@ def residues_to_sequence(chain: ChainStructure) -> str:
         raise NonstandardResidue(
             f"chain {chain.chain_id!r} contains nonstandard residues: {', '.join(bad)}"
         )
-    return "".join(AA3_TO_1[r.res_name] for r in chain.residues)
+    return "".join(map(AA3_TO_1.__getitem__, chain.residues))
 
 
 def check_completeness(
@@ -191,15 +194,16 @@ def check_completeness(
     and therefore never introduce gaps). If residue_range is given, a
     missing endpoint counts as one gap per missing side.
     """
+    ids = chain.seq_ids
     n_gaps = 0
-    for prev, nxt in zip(chain.residues, chain.residues[1:]):
-        if nxt.seq_id > prev.seq_id + 1:
+    for prev, nxt in zip(ids, ids[1:]):
+        if nxt > prev + 1:
             n_gaps += 1
-    if residue_range is not None and chain.residues:
+    if residue_range is not None and ids:
         start, end = residue_range
-        if chain.residues[0].seq_id > start:
+        if ids[0] > start:
             n_gaps += 1
-        if chain.residues[-1].seq_id < end:
+        if ids[-1] < end:
             n_gaps += 1
     return CompletenessReport(n_gaps, _nonstandard(chain))
 

@@ -169,13 +169,13 @@ def train(
         for batch_index, sel in enumerate(_batches(len(train_entries), cfg.batch_size, order)):
             batch = batch_encode([train_entries[i] for i in sel],
                                  model_config.max_len, model_config.attention_mode)
+            zero_grads(params.values())  # free the last step's gradients before this forward
             logits, _ = encoder_forward(batch, model_config, params,
                                         train_mode=True, rng=dropout_rng)
             loss = ad.weighted_cross_entropy(logits, batch.labels, weights)
             loss_value = loss.item()
             bad = None if np.isfinite(loss_value) else "loss"
             if bad is None:
-                zero_grads(params.values())
                 loss.backward()
                 # a float64 sum is finite iff every element is: float32 grads cannot overflow it
                 bad = next((f"gradient of {name!r}" for name, p in params.items()

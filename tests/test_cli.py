@@ -490,6 +490,26 @@ class TestTrainEvaluateEmbed:
         assert "data error: split manifest must be an object" in err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("subcommand", ["train", "evaluate", "embed"])
+    def test_manifest_id_missing_from_the_data_is_data_error(self, pipeline_dir, tmp_path,
+                                                             capsys, subcommand):
+        payload = json.loads((pipeline_dir / "manifest.json").read_text())
+        payload["ids"]["test"] += ["nosuch", "nosuch2"]
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = {"train": ["--checkpoint", out / "x.ckpt", "--epochs", 1],
+                "evaluate": ["--checkpoint", pipeline_dir / "model.ckpt",
+                             "--out", out / "report.json", "--text", out / "report.txt"],
+                "embed": ["--checkpoint", pipeline_dir / "model.ckpt", "--split", "test",
+                          "--out", out / "emb.tsv"]}[subcommand]
+        assert run([subcommand, "--data", pipeline_dir, "--manifest", manifest, *argv]) == 2
+        err = capsys.readouterr().err
+        assert (f"data error: manifest {manifest}: test entry 'nosuch' is not in processed.tsv"
+                in err)
+        assert list(out.iterdir()) == []
+
     def test_embed_rerun_byte_identical(self, pipeline_dir, tmp_path):
         outs = [tmp_path / "e1.tsv", tmp_path / "e2.tsv"]
         for out in outs:

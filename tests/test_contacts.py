@@ -87,6 +87,44 @@ class TestBuildContactMap:
             build_contact_map([(0, 0, 0), (5, 0, 0)], threshold)
 
 
+def previous_build_contact_map(positions, threshold):
+    """build_contact_map's computation before it used two (N, N) buffers: the
+    oracle for its pairs, bit for bit."""
+    pos = np.asarray(positions, dtype=np.float64)
+    d2 = sum((c[:, None] - c[None, :]) ** 2 for c in pos.T)
+    close = d2 <= threshold * threshold
+    return ContactMap(pos.shape[0], np.argwhere(np.triu(close, 1)))
+
+
+# integer directions of integer length: (vector, length)
+EXACT_DIRECTIONS = [((1, 0, 0), 1), ((0, 4, 3), 5), ((2, 3, 6), 7), ((1, 4, 8), 9), ((4, 4, 7), 9)]
+
+
+class TestBuildContactMapOracle:
+    @given(data=st.data(), n=st.integers(1, 64), scale=st.integers(100, 2000),
+           spread=st.sampled_from([2000, 10000, 40000, 99999]))
+    @settings(max_examples=300, deadline=None)
+    def test_same_pairs_as_the_previous_computation(self, data, n, scale, spread):
+        """Coordinates on the 0.001 A grid of PDB text, with pairs planted at
+        exactly the threshold distance (on the grid): the same int32 pairs."""
+        vector, length = data.draw(st.sampled_from(EXACT_DIRECTIONS), label="direction")
+        threshold = scale * length / 1000.0
+        milli = np.array(data.draw(st.lists(
+            st.tuples(*(st.integers(-spread, spread) for _ in range(3))),
+            min_size=n, max_size=n), label="milli-A"), dtype=np.int64)
+        for _ in range(data.draw(st.integers(0, n), label="planted")):
+            i, j = (data.draw(st.integers(0, n - 1)) for _ in range(2))
+            signs = np.array(data.draw(st.tuples(*(st.sampled_from([-1, 1]) for _ in range(3)))))
+            order = data.draw(st.permutations(range(3)))
+            milli[j] = milli[i] + signs * np.array(vector)[order] * scale
+        positions = milli / 1000.0
+        ours = build_contact_map(positions, threshold)
+        reference = previous_build_contact_map(positions, threshold)
+        assert ours.n == reference.n == n
+        assert ours.ij.dtype == reference.ij.dtype == np.int32
+        assert np.array_equal(ours.ij, reference.ij)
+
+
 class TestSerialization:
     def test_format_example(self):
         assert serialize_contacts(ContactMap(4, ((2, 3), (0, 1)))) == "0-1,2-3"

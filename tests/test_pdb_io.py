@@ -11,7 +11,6 @@ from contactformer.pdb_io import (
     MalformedLine,
     NonstandardResidue,
     PdbParseError,
-    Residue,
     check_completeness,
     parse_structure,
     residues_to_sequence,
@@ -22,11 +21,11 @@ from test_contacts import mutate
 def chain_to_pdb_text(chain: ChainStructure) -> str:
     """Serialize a ChainStructure back to CA ATOM lines (round-trip inverse)."""
     lines = []
-    for serial, r in enumerate(chain.residues, start=1):
-        x, y, z = r.ca_position
+    columns = zip(chain.seq_ids, chain.insertion_codes, chain.residues, chain.ca.tolist())
+    for serial, (seq_id, icode, res_name, (x, y, z)) in enumerate(columns, start=1):
         lines.append(
-            f"ATOM  {serial:5d}  CA  {r.res_name:>3s} {chain.chain_id}"
-            f"{r.seq_id:4d}{r.insertion_code}   {x:8.3f}{y:8.3f}{z:8.3f}"
+            f"ATOM  {serial:5d}  CA  {res_name:>3s} {chain.chain_id}"
+            f"{seq_id:4d}{icode}   {x:8.3f}{y:8.3f}{z:8.3f}"
             f"{1.0:6.2f}{0.0:6.2f}           C"
         )
     lines.append("END")
@@ -58,11 +57,22 @@ def atom_line(seq_id, res_name="ALA", chain="C", xyz=(1.0, 2.0, 3.0),
 def make_chain(seq_ids, res_names=None, icodes=None, chain="A"):
     res_names = res_names or ["ALA"] * len(seq_ids)
     icodes = icodes or [" "] * len(seq_ids)
-    residues = tuple(
-        Residue(s, ic, rn, (float(i), 0.0, 0.0))
-        for i, (s, ic, rn) in enumerate(zip(seq_ids, icodes, res_names))
-    )
-    return ChainStructure(chain, residues)
+    ca = np.array([(float(i), 0.0, 0.0) for i in range(len(seq_ids))]).reshape(-1, 3)
+    return ChainStructure(chain, tuple(seq_ids), tuple(icodes), tuple(res_names), ca)
+
+
+def assert_same_outcome(ours, reference):
+    """The same chain, column by column (ca with np.array_equal), or the same
+    class and message of error (see outcome)."""
+    if isinstance(reference, ChainStructure):
+        assert isinstance(ours, ChainStructure), ours
+        assert ours.chain_id == reference.chain_id
+        assert ours.seq_ids == reference.seq_ids
+        assert ours.insertion_codes == reference.insertion_codes
+        assert ours.residues == reference.residues
+        assert ours.ca.dtype == np.float64 and np.array_equal(ours.ca, reference.ca)
+    else:
+        assert ours == reference
 
 
 class TestParseStructure:
@@ -70,10 +80,11 @@ class TestParseStructure:
         text = atom_line(1143, xyz=(1.0, 2.0, 3.0)) + "\n"
         chain = parse_structure(text, "C")
         assert len(chain.residues) == 1
-        r = chain.residues[0]
-        assert r.seq_id == 1143
-        assert r.ca_position == (1.0, 2.0, 3.0)
-        assert r.res_name == "ALA"
+        assert chain.seq_ids == (1143,)
+        assert chain.ca.tolist() == [[1.0, 2.0, 3.0]]
+        assert chain.residues == ("ALA",)
+        assert chain.insertion_codes == (" ",)
+        assert chain.ca.dtype == np.float64 and not chain.ca.flags.writeable
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
@@ -100,7 +111,7 @@ class TestParseStructure:
         bad = atom_line(1, chain="A")[:30] + "  xx.xxx   2.000   3.000"
         good = atom_line(2, chain="B")
         chain = parse_structure(bad + "\n" + good + "\n", "B")
-        assert [r.seq_id for r in chain.residues] == [2]
+        assert list(chain.seq_ids) == [2]
 
     def test_altloc_keeps_blank_and_a_only(self):
         text = "\n".join([
@@ -109,7 +120,7 @@ class TestParseStructure:
             atom_line(3, altloc="B", xyz=(2.0, 0.0, 0.0)),
         ])
         chain = parse_structure(text, "C")
-        assert [r.seq_id for r in chain.residues] == [1, 2]
+        assert list(chain.seq_ids) == [1, 2]
 
     def test_non_ca_and_hetatm_ignored(self):
         text = "\n".join([
@@ -119,7 +130,7 @@ class TestParseStructure:
             atom_line(3, atom=" CB "),
         ])
         chain = parse_structure(text, "C")
-        assert [r.seq_id for r in chain.residues] == [1]
+        assert list(chain.seq_ids) == [1]
 
     def test_stops_at_first_endmdl(self):
         text = "\n".join([
@@ -131,18 +142,18 @@ class TestParseStructure:
             "ENDMDL",
         ])
         chain = parse_structure(text, "C")
-        assert [r.seq_id for r in chain.residues] == [1]
+        assert list(chain.seq_ids) == [1]
 
     def test_residue_range_inclusive_on_seq_id(self):
         text = "\n".join(atom_line(i) for i in range(1, 11))
         chain = parse_structure(text, "C", residue_range=(3, 7))
-        assert [r.seq_id for r in chain.residues] == [3, 4, 5, 6, 7]
+        assert list(chain.seq_ids) == [3, 4, 5, 6, 7]
 
     def test_order_follows_file_order(self):
         ids = [9, 2, 5, 1]
         text = "\n".join(atom_line(i) for i in ids)
         chain = parse_structure(text, "C")
-        assert [r.seq_id for r in chain.residues] == ids
+        assert list(chain.seq_ids) == ids
 
     def test_duplicate_seq_id_keeps_first(self):
         text = "\n".join([
@@ -151,7 +162,7 @@ class TestParseStructure:
         ])
         chain = parse_structure(text, "C")
         assert len(chain.residues) == 1
-        assert chain.residues[0].ca_position == (0.0, 0.0, 0.0)
+        assert chain.ca.tolist() == [[0.0, 0.0, 0.0]]
 
     def test_non_finite_coordinates_rejected(self):
         line = atom_line(1)[:30] + f"{float('nan'):8.3f}{2.0:8.3f}{3.0:8.3f}"
@@ -246,14 +257,15 @@ def spec_parse_structure(pdb_text, chain_id, residue_range=None):
         if key in seen:
             continue
         seen.add(key)
-        residues.append(Residue(seq_id, icode, line[17:20].strip(), (x, y, z)))
+        residues.append((seq_id, icode, line[17:20].strip(), (x, y, z)))
 
     if not residues:
         where = f"chain {chain_id!r}"
         if residue_range is not None:
             where += f" in range {residue_range}"
         raise ChainNotFound(f"no CA ATOM record matches {where}")
-    return ChainStructure(chain_id, tuple(residues))
+    seq_ids, icodes, names, ca = zip(*residues)
+    return ChainStructure(chain_id, seq_ids, icodes, names, np.array(ca, dtype=np.float64))
 
 
 def outcome(parse, *args):
@@ -279,15 +291,15 @@ class TestParseStructureFuzz:
         except ValueError as exc:
             assert len(chain_id) != 1 and "chain_id" in str(exc)
             return
-        assert len(chain.residues) >= 1 and np.isfinite(chain.ca_coordinates()).all()
+        assert len(chain.residues) >= 1 and np.isfinite(chain.ca).all()
 
     @given(data=st.data(), chain_id=st.sampled_from(["A", "B", "C", "D", " ", "", "CD"]),
            residue_range=st.none() | st.tuples(st.integers(-2, 6), st.integers(-2, 6)))
     @settings(max_examples=400, deadline=None)
     def test_same_chain_or_same_error_as_line_loop(self, data, chain_id, residue_range):
         text = data.draw(two_chain_texts()) if data.draw(st.booleans()) else fuzzed_pdb_text(data)
-        assert (outcome(parse_structure, text, chain_id, residue_range)
-                == outcome(spec_parse_structure, text, chain_id, residue_range))
+        assert_same_outcome(outcome(parse_structure, text, chain_id, residue_range),
+                            outcome(spec_parse_structure, text, chain_id, residue_range))
 
     @given(text=two_chain_texts())
     @settings(max_examples=150, deadline=None)
@@ -297,9 +309,9 @@ class TestParseStructureFuzz:
         for chain_id in "ABA":
             fresh = "".join(list(text))
             assert fresh is not text
-            assert (outcome(parse_structure, text, chain_id)
-                    == outcome(parse_structure, fresh, chain_id)
-                    == outcome(spec_parse_structure, text, chain_id))
+            reference = outcome(spec_parse_structure, text, chain_id)
+            assert_same_outcome(outcome(parse_structure, text, chain_id), reference)
+            assert_same_outcome(outcome(parse_structure, fresh, chain_id), reference)
 
 
 class TestResiduesToSequence:
@@ -357,19 +369,16 @@ def chain_structures(draw):
     coords = draw(st.lists(
         st.tuples(*(st.integers(min_value=-99999, max_value=99999) for _ in range(3))),
         min_size=n, max_size=n))
-    residues = tuple(
-        Residue(start + i, " ", names[i], tuple(c / 1000.0 for c in coords[i]))
-        for i in range(n)
-    )
+    ca = np.array([[c / 1000.0 for c in xyz] for xyz in coords], dtype=np.float64)
     chain_id = draw(st.sampled_from("ABCXYZ"))
-    return ChainStructure(chain_id, residues)
+    return ChainStructure(chain_id, tuple(range(start, start + n)), (" ",) * n, tuple(names), ca)
 
 
 @given(chain_structures())
 @settings(max_examples=150, deadline=None)
 def test_round_trip_serialize_then_parse(chain):
     reparsed = parse_structure(chain_to_pdb_text(chain), chain.chain_id)
-    assert reparsed == chain
+    assert_same_outcome(reparsed, chain)
 
 
 def test_parse_never_returns_empty_structure():

@@ -371,6 +371,23 @@ class TestAutodiffGraph:
         # the baseline's 2 validation batches, then per epoch 2 steps and 2 validation batches
         assert live_at_call == [0] * 10 and len(earlier) > 40
 
+    def test_no_gradient_is_alive_during_a_training_forward(self, monkeypatch):
+        """The previous step's .grad buffers are freed before the next step's
+        activations are built, not after."""
+        entries = overfit_dataset(8, 4, length=6, seed=2)
+        forward, steps = train_mod.encoder_forward, []
+
+        def checked_forward(batch, config, params, train_mode=False, rng=None):
+            if train_mode:
+                steps.append(sum(p.tensor.grad is not None for p in params.values()))
+            return forward(batch, config, params, train_mode, rng)
+
+        monkeypatch.setattr(train_mod, "encoder_forward", checked_forward)
+        result = train(overfit_config(dropout=0.1), entries, entries[:6],
+                       TrainConfig(batch_size=4, max_epochs=2, patience=10, seed=0))
+        assert steps == [0, 0, 0, 0]  # 2 epochs of 2 steps
+        assert all(p.tensor.grad is not None for p in result.params.values())
+
     def test_every_recorded_parent_requires_grad(self):
         # constants (embedding scale, positional table, 1/sqrt(d_h)) stay out
         from contactformer import autodiff as ad
@@ -423,3 +440,114 @@ class TestTopologyDatasetContract:
         train_set, _, _ = topology_dataset(8, 4, 4, length=10, seed=0)
         maps = {e.label: e.contact_map for e in train_set}
         assert len({m.ij.tobytes() for m in maps.values()}) == 4
+
+
+def previous_masked_attention(q, k, v, blocks, n_heads):
+    """ad.masked_attention before its dense path for blocks that allow every
+    entry: each block's allowed entries gathered by a flat index, for all modes."""
+    h, qd, kd, vd = n_heads, q.data, k.data, v.data  # (its shape checks left out)
+    shapes = [np.shape(b) for b in blocks]
+    starts = np.cumsum([0] + [math.prod(s[:2]) for s in shapes]).tolist()  # first rows
+    c = np.asarray(1.0 / math.sqrt(q.shape[1] // h), dtype=q.data.dtype)
+
+    def heads(a: np.ndarray, number: int) -> np.ndarray:
+        """Block number's rows of a (T, H * w) array as an (H, count, n, w) view."""
+        count, n, _ = shapes[number]
+        rows = a[starts[number]:starts[number + 1]]
+        return rows.reshape(count, n, h, a.shape[1] // h).transpose(2, 0, 1, 3)
+
+    def allowed(number: int) -> tuple[np.ndarray, np.ndarray]:
+        """Flat index m n^2 + i n + j of each allowed entry in row-major order, and row degrees."""
+        count, n, _ = shapes[number]
+        index = np.flatnonzero(~np.asarray(blocks[number], dtype=bool))
+        return index, np.bincount(index // n, minlength=count * n)
+
+    def row_sums(s: np.ndarray, degree: np.ndarray) -> np.ndarray:
+        """s.sum(-1) of an (H, count, n, n) block, repeated to line up with its (H, E) entries."""
+        return np.repeat(s.sum(axis=-1).reshape(h, -1), degree, axis=1)
+
+    # np.empty: the blocks tile the rows, so one block writes each row (here and in backward)
+    out = np.empty(vd.shape, dtype=vd.dtype)
+    weights = []
+    for number in range(len(shapes)):
+        index, degree = allowed(number)
+        # a C-ordered (H, count, n, n) buffer, so that each head's scores are one flat run
+        s = np.matmul(heads(qd, number), np.swapaxes(heads(kd, number), -1, -2),
+                      out=np.empty((h, *shapes[number]), dtype=qd.dtype))
+        dense = s.reshape(h, -1)
+        w = np.take(dense, index, axis=1)
+        w *= c
+        w -= np.repeat(np.maximum.reduceat(w, np.cumsum(degree) - degree, axis=1), degree, axis=1)
+        np.exp(w, out=w)
+        s.fill(0)
+        dense[:, index] = w
+        w /= row_sums(s, degree)
+        dense[:, index] = w
+        heads(out, number)[...] = s @ heads(vd, number)
+        weights.append(w)
+
+    def backward(g):
+        gq, gk, gv = (np.empty(a.shape, dtype=a.dtype) for a in (qd, kd, vd))
+        for number, w in enumerate(weights):
+            index, degree = allowed(number)
+            qg, kg, vg, gg = (heads(a, number) for a in (qd, kd, vd, g))
+            # one dense buffer: the weight gradient gs, then p, then gs * p, then the score gradient
+            s = np.matmul(gg, np.swapaxes(vg, -1, -2), out=np.empty((h, *shapes[number]), qd.dtype))
+            dense = s.reshape(h, -1)
+            gw = np.take(dense, index, axis=1)
+            s.fill(0)
+            dense[:, index] = w
+            heads(gv, number)[...] = np.swapaxes(s, -1, -2) @ gg
+            dense[:, index] = gw * w
+            gw -= row_sums(s, degree)
+            gw *= w
+            gw *= c
+            dense[:, index] = gw
+            heads(gq, number)[...] = s @ kg
+            heads(gk, number)[...] = np.swapaxes(np.swapaxes(qg, -1, -2) @ s, -1, -2)
+        return gq, gk, gv
+
+    return ad._make(out, (q, k, v), backward)
+
+
+class TestFullModeFastPath:
+    def test_full_mode_steps_match_the_gathering_kernel(self, monkeypatch):
+        """Three full-mode training steps and an eval pass: the losses, every
+        parameter gradient and the eval logits equal those of the kernel that
+        gathers every block, bit for bit."""
+        from contactformer.contacts import ContactMap
+        from contactformer.data import Entry, batch_encode, compute_class_weights
+        from contactformer.model import encoder_forward
+
+        rng = np.random.default_rng(23)
+        lengths = [3, 7, 7, 12, 1, 12, 9, 5]
+        entries = [Entry(f"e{i}", "".join(rng.choice(list("ACDEFGHIKLMNPQRSTVWY"), n)),
+                         ContactMap(n), i % 4) for i, n in enumerate(lengths)]
+        cfg = overfit_config(attention_mode="full", dropout=0.1)
+        batch = batch_encode(entries, cfg.max_len, cfg.attention_mode)
+        weights = compute_class_weights(batch.labels, cfg.n_classes)
+        kernel, dense_blocks = ad.masked_attention, []
+
+        def recording(q, k, v, blocks, n_heads):
+            dense_blocks.extend(not b.any() for b in blocks)
+            return kernel(q, k, v, blocks, n_heads)
+
+        def run(attention):
+            monkeypatch.setattr(ad, "masked_attention", attention)
+            params = init_params(cfg, np.random.default_rng(5), dtype=np.float32)
+            state, dropout_rng, arrays = AdamState(), np.random.default_rng(6), []
+            for _ in range(3):
+                ad.zero_grads(params.values())
+                logits, _ = encoder_forward(batch, cfg, params, train_mode=True, rng=dropout_rng)
+                loss = ad.weighted_cross_entropy(logits, batch.labels, weights)
+                loss.backward()
+                arrays += [loss.data.copy()] + [p.tensor.grad.copy() for p in params.values()]
+                adam_step(params, state, lr=1e-3)
+            logits, _ = encoder_forward(batch, cfg, params, train_mode=False)
+            return arrays + [logits.data]
+
+        ours, reference = run(recording), run(previous_masked_attention)
+        assert dense_blocks and all(dense_blocks)  # every block took the dense path
+        assert len(ours) == len(reference)
+        for a, b in zip(ours, reference):
+            assert a.dtype == b.dtype == np.float32 and np.array_equal(a, b)
