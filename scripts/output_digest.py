@@ -8,9 +8,12 @@ of the checkpoint bytes, the step losses, the `evaluate` probabilities
 and repr(best_val_loss). It then writes the workload's `prep` corpus for
 --seed, runs `prep --workers 2` on it (with paths relative to the work
 directory, so that rejects.log does not name it) and prints the digests
-of processed.tsv, labels.tsv and rejects.log. Two commits whose outputs
-are bit-identical print the same lines; the training digests depend on
-the BLAS build, so compare runs on one machine.
+of processed.tsv, labels.tsv and rejects.log, and of what
+data.load_entries returns for that processed.tsv: each entry's id,
+label, sequence, contact-map size and int32 pair bytes, in order. Two
+commits whose outputs are bit-identical print the same lines; the
+training digests depend on the BLAS build, so compare runs on one
+machine.
 
     python3 scripts/output_digest.py [--seed 1]
 """
@@ -32,6 +35,7 @@ import numpy as np
 import gen
 import workloads
 from contactformer.cli import int_at_least
+from contactformer.data import load_entries
 
 
 def digest(data: bytes) -> str:
@@ -68,6 +72,10 @@ def main() -> int:
                     raise RuntimeError(f"prep of the {name} corpus failed")
                 for output in ("processed.tsv", "labels.tsv", "rejects.log"):
                     rows[output] = Path("prep", output).read_bytes()
+                loaded = load_entries(Path("prep", "processed.tsv"))
+                rows["loaded_entries"] = b"".join(
+                    f"{e.id}\t{e.label}\t{e.sequence}\t{e.contact_map.n}\n".encode()
+                    + e.contact_map.ij.tobytes() for e in loaded)
             finally:
                 os.chdir(cwd)
         for what, data in rows.items():

@@ -4,7 +4,8 @@
 Draws 2 x --batch-size protein-like chains of 30-500 residues with the
 benchmark's generator (perfbench/gen.py, seed 1, 16 structural
 families) and runs two consecutive steps of the default encoder (d=256,
-8 heads, 5 layers, contact mode, dropout 0.1), the first on the first
+8 heads, 5 layers, dropout 0.1, contact mode unless --attention full
+asks for the sequence-only baseline), the first on the first
 --batch-size chains and the second on the rest, with one Adam state and
 one dropout generator, as a training loop would: batch_encode, a
 train-mode forward pass, weighted cross-entropy, backward and an Adam
@@ -14,7 +15,7 @@ delta), so the second step shows what a loop holds across steps and
 how many of its pages the allocator had to fault in again. The defaults, batch 64 and max_len 512, are the paper's
 configuration.
 
-    python3 scripts/paper_step.py [--batch-size 64] [--max-len 512]
+    python3 scripts/paper_step.py [--batch-size 64] [--max-len 512] [--attention contact]
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import gen
 from contactformer import autodiff as ad
 from contactformer.cli import positive_int
 from contactformer.contacts import ContactMap
-from contactformer.data import Entry, batch_encode, compute_class_weights
+from contactformer.data import ATTENTION_MODES, Entry, batch_encode, compute_class_weights
 from contactformer.model import ModelConfig, encoder_forward, init_params
 from contactformer.optim import AdamState, adam_step
 
@@ -46,12 +47,13 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--batch-size", type=positive_int, default=64)
     parser.add_argument("--max-len", type=positive_int, default=512)
+    parser.add_argument("--attention", choices=ATTENTION_MODES, default="contact")
     args = parser.parse_args()
 
     chains = gen.train_long_inputs(1, STEPS * args.batch_size, 0, 0, FAMILIES).train
     entries = [Entry(c.entry_id, c.sequence, ContactMap(len(c.sequence), tuple(c.pairs)), c.label)
                for c in chains]
-    config = ModelConfig(n_classes=FAMILIES, max_len=args.max_len)
+    config = ModelConfig(n_classes=FAMILIES, max_len=args.max_len, attention_mode=args.attention)
     params = init_params(config, np.random.default_rng(0))
     weights = compute_class_weights([e.label for e in entries], FAMILIES)
     opt_state = AdamState()

@@ -50,6 +50,14 @@ class ContactMap:
         ij.setflags(write=False)
         object.__setattr__(self, "ij", ij)
 
+    @classmethod
+    def _checked(cls, n: int, ij: np.ndarray) -> "ContactMap":
+        """The map of a read-only int32 (E, 2) array of ascending pairs 0 <= i < j < n."""
+        cmap = object.__new__(cls)
+        object.__setattr__(cmap, "n", n)
+        object.__setattr__(cmap, "ij", ij)
+        return cmap
+
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
         """The pairs as a tuple of (i, j) int tuples (builds one object per pair)."""
@@ -103,7 +111,9 @@ def build_contact_map(positions, threshold: float = DEFAULT_THRESHOLD) -> Contac
     # row-major flat indices: the pairs i < j come out ascending
     i, j = np.divmod(np.flatnonzero(d2 <= threshold * threshold), n)
     upper = i < j
-    return ContactMap(n, np.stack((i[upper], j[upper]), axis=1))
+    ij = np.stack((i[upper], j[upper]), axis=1, dtype=np.int32)
+    ij.setflags(write=False)
+    return ContactMap._checked(n, ij)
 
 
 def serialize_contacts(cmap: ContactMap) -> str:
@@ -123,10 +133,19 @@ def deserialize_contacts(text: str, n: int) -> ContactMap:
     """
     if ",," in text or text[:1] == "," or text[-1:] == ",":
         text = ",".join(filter(None, text.split(",")))
-    k = text.count(",") + 1 if text else 0
-    # digits and exactly one "-" per chunk, with digits on both sides of it
-    if (text.translate(_DROP_DIGITS) != ("-," * k)[:-1] or "-," in text or ",-" in text
-            or text[:1] == "-" or text[-1:] == "-"):
+    ij = parse_pairs(text)
+    if ij is None:
         raise ValueError("malformed contact pairs")
-    ij = np.fromstring(text.replace("-", ","), dtype=np.int64, sep=",").reshape(-1, 2)
     return ContactMap(n, ij)
+
+
+def parse_pairs(text: str) -> np.ndarray | None:
+    """The (E, 2) int64 pairs of text, in text order, if it is "" or "i-j" chunks of
+    ASCII digits joined by single commas; None otherwise."""
+    separators = text.translate(_DROP_DIGITS)
+    numbers = text.replace("-", ",")
+    # "-" and "," alternate from a "-" to a "-", with digits before, after and between
+    if text and (separators != ("-," * (len(separators) // 2 + 1))[:-1] or ",," in numbers
+                 or numbers[0] == "," or numbers[-1] == ","):
+        return None
+    return np.fromstring(numbers, dtype=np.int64, sep=",").reshape(-1, 2)

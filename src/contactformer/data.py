@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contacts import ContactMap, deserialize_contacts
+from .contacts import ContactMap, deserialize_contacts, parse_pairs
 
 ALPHABET = "ACDEFGHIKLMNPQRSTVWY"
 TOKEN_OF = {aa: i + 1 for i, aa in enumerate(ALPHABET)}
@@ -318,5 +318,35 @@ def save_entries(path, rows) -> None:
 
 
 def load_entries(path) -> list[Entry]:
+    """The entries of processed.tsv's non-blank lines, in file order.
+
+    The pair fields of the lines in save_entries' form are parsed and checked at
+    once. Other lines (pairs out of order or repeated, empty chunks, a failed check)
+    go through :func:`entry_from_line`, which normalizes them or raises naming the entry.
+    """
     with open(path, encoding="utf-8") as fh:
-        return [entry_from_line(ln) for ln in fh if ln.strip()]
+        fields = [ln.split("\t") for ln in fh.read().split("\n") if ln and not ln.isspace()]
+    fast = [k for k, f in enumerate(fields) if len(f) == 4 and f[1].isdecimal() and f[2]]
+    ij = parse_pairs(",".join(fields[k][3] for k in fast if fields[k][3]))
+    if ij is None:  # some pair field is malformed or has empty chunks
+        fast = [k for k in fast if parse_pairs(fields[k][3]) is not None]
+        ij = parse_pairs(",".join(fields[k][3] for k in fast if fields[k][3]))
+    sizes = np.array([len(fields[k][2]) for k in fast], dtype=np.int64)
+    counts = np.array([fields[k][3].count("-") for k in fast], dtype=np.int64)
+    ends = np.cumsum(counts)
+    n = np.repeat(sizes, counts)
+    bad = (ij[:, 0] >= ij[:, 1]) | (ij[:, 1] >= n)  # parse_pairs reads digits only: no i < 0
+    # keys of pairs in range lie in [0, n * n); offset by the squares of the earlier sizes,
+    # they rise iff each entry's pairs ascend (an entry after a bad pair may be flagged too)
+    key = np.repeat(np.cumsum(sizes * sizes) - sizes * sizes, counts)
+    key += ij[:, 0] * n
+    key += ij[:, 1]
+    bad[1:] |= key[1:] <= key[:-1]
+    slow = {fast[e] for e in np.searchsorted(ends, np.flatnonzero(bad), side="right").tolist()}
+    del n, key, bad
+    ij = ij.astype(np.int32)  # frees the int64 pairs
+    ij.setflags(write=False)
+    pairs = {k: ij[e - c:e] for k, c, e in zip(fast, counts.tolist(), ends.tolist())
+             if k not in slow}
+    return [Entry(f[0], f[2], ContactMap._checked(len(f[2]), pairs[k]), int(f[1]))
+            if k in pairs else entry_from_line("\t".join(f)) for k, f in enumerate(fields)]

@@ -100,6 +100,14 @@ def previous_build_contact_map(positions, threshold):
 EXACT_DIRECTIONS = [((1, 0, 0), 1), ((0, 4, 3), 5), ((2, 3, 6), 7), ((1, 4, 8), 9), ((4, 4, 7), 9)]
 
 
+def assert_canonical_map(cmap):
+    """cmap's pairs are a read-only int32 (E, 2) array that the checking
+    constructor takes unchanged: a map built without its checks is canonical."""
+    assert cmap.ij.dtype == np.int32 and cmap.ij.ndim == 2 and cmap.ij.shape[1] == 2
+    assert not cmap.ij.flags.writeable
+    assert ContactMap(cmap.n, cmap.ij) == cmap
+
+
 class TestBuildContactMapOracle:
     @given(data=st.data(), n=st.integers(1, 64), scale=st.integers(100, 2000),
            spread=st.sampled_from([2000, 10000, 40000, 99999]))
@@ -123,6 +131,7 @@ class TestBuildContactMapOracle:
         assert ours.n == reference.n == n
         assert ours.ij.dtype == reference.ij.dtype == np.int32
         assert np.array_equal(ours.ij, reference.ij)
+        assert_canonical_map(ours)
 
 
 class TestSerialization:

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from contactformer.contacts import ContactMap, deserialize_contacts, serialize_contacts
-from test_contacts import mutate, outcome
+from test_contacts import assert_canonical_map, mutate, outcome
 from contactformer.data import (
     ALPHABET,
     EmptyDataset,
@@ -331,13 +331,14 @@ class TestEntryLineOracle:
 
     @pytest.mark.parametrize("field", [
         "3-4-5", "0-1-2,3", "0-1,2", "0--1", "-0-1", "0-1-", "1-0", "0-4", "0-x", "0-1,2-3-",
+        "0-1,-2", "0-,1-2", "-1,2-3", "0-1,2-", "0-1 2-3", "0-1/2-3",
     ])
     def test_malformed_pairs_rejected(self, field):
         with pytest.raises(ValueError, match="entry 'e'"):  # the error names the entry
             entry_from_line(f"e\t0\tACDE\t{field}\n")
         with pytest.raises(ValueError):
             old_entry_from_line(f"e\t0\tACDE\t{field}\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^(malformed contact pairs|bad contact pair)"):
             deserialize_contacts(field, 4)
 
     @pytest.mark.parametrize("line", [
@@ -348,6 +349,92 @@ class TestEntryLineOracle:
             entry_from_line(line)
         with pytest.raises(ValueError):
             old_entry_from_line(line)
+
+
+def draw_line(data, entry_id):
+    """A processed.tsv line drawn as TestEntryLineOracle draws one, or in the
+    canonical form save_entries writes (pairs ascending, no repeats)."""
+    n = data.draw(st.integers(min_value=1, max_value=12))
+    all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = data.draw(st.lists(st.sampled_from(all_pairs), max_size=8)
+                       if all_pairs else st.just([]))
+    if data.draw(st.booleans()):
+        chosen = sorted(set(chosen))
+    elif chosen and data.draw(st.booleans()):
+        chosen[0] = chosen[0][::-1]
+    if data.draw(st.integers(0, 3)) == 0:  # a pair just out of range: i == j or j == n
+        i = data.draw(st.integers(0, n))
+        edge = (i, data.draw(st.sampled_from([i, n])))
+        chosen.insert(data.draw(st.integers(0, len(chosen))), edge)
+    seq = "".join(data.draw(st.lists(st.sampled_from(ALPHABET), min_size=n, max_size=n)))
+    pair_field = ",".join(f"{i}-{j}" for i, j in chosen)
+    if data.draw(st.booleans()):  # an empty chunk: a leading, doubled or trailing comma
+        chunks = pair_field.split(",")
+        k = data.draw(st.integers(0, len(chunks)))
+        pair_field = ",".join(chunks[:k] + [""] + chunks[k:])
+    line = f"{entry_id}\t{data.draw(st.integers(0, 5))}\t{seq}\t{pair_field}"
+    if data.draw(st.integers(0, 3)) == 0:  # edits, as TestEntryLineOracle makes them
+        line = mutate(line, data, ",-\t", n,
+                      ["-", ",", "7", "-3", "x", "1-2-3", "\t", ",,", "\u00b2"])
+    return line
+
+
+class TestLoadEntriesOracle:
+    @given(data=st.data())
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_same_entries_or_first_error_as_line_by_line(self, tmp_path, data):
+        """Whole files of drawn lines, blank lines among them: load_entries returns
+        the old parser's entries, or raises its error class naming the first bad line."""
+        lines = [data.draw(st.sampled_from(["", " ", "\t\t"])) if data.draw(st.integers(0, 9)) == 0
+                 else draw_line(data, f"e{k}") for k in range(data.draw(st.integers(0, 8)))]
+        path = tmp_path / "processed.tsv"
+        path.write_text("".join(ln + "\n" for ln in lines), encoding="utf-8")
+        expected = []
+        for ln in filter(str.strip, lines):
+            try:
+                expected.append(old_entry_from_line(ln))
+            except ValueError as exc:
+                entry_id = ln.split("\t")[0]
+                with pytest.raises(type(exc)) as raised:
+                    load_entries(path)
+                assert type(raised.value) is type(exc)
+                assert str(raised.value).startswith(f"entry {entry_id!r}: ")
+                return
+        loaded = load_entries(path)
+        assert loaded == expected
+        for e in loaded:
+            assert_canonical_map(e.contact_map)
+
+    @pytest.mark.parametrize("line", [
+        "e\t+3\tACDE\t0-1", "e\t 3\tACDE\t0-1", "e\t\u0663\tACDE\t0-1", "e\t\u00b2\tACDE\t0-1",
+        "e\t0\t\t", "e\t0\tACDE\t0-1\t", "e\t0\tACDE", "e\t0\tACDE\t2-3,0-1",
+        "e\t0\tACDE\t0-1,0-1", "e\t0\tACDE\t,0-1", "e\t0\tACDE\t0-1,,2-3", "e\t0\tACDE\t,",
+        "e\t0\tACDE\t0-1,-2", "e\t0\tACDE\t0-,1-2", "e\t0\tACDE\t0-1,2", "e\t0\tACDE\t0-1 ",
+        "e\t0\tACDE\t0-99999999999999999999", "e\t0\tACDE\t0000000000000000000001-2",
+        "e\t0\tACDE\t0-1,2-4", "e\t0\tACDE\t0-1,2-2", "e\t0\tACDE\t0-1,3-2",
+        "e\t0\tACDE\t-1,2-3",
+    ])
+    def test_line_outside_the_one_pass_between_canonical_lines(self, tmp_path, line):
+        """A line the one pass does not take, between two it takes: the entries
+        of entry_from_line line by line, or its error naming the line's entry."""
+        lines = ["a\t1\tAC\t0-1", line, "z\t2\tACD\t0-2,1-2"]
+        path = tmp_path / "processed.tsv"
+        path.write_text("".join(ln + "\n" for ln in lines), encoding="utf-8")
+        expected = [outcome(entry_from_line, ln) for ln in lines]
+        if expected[1] is ValueError:
+            with pytest.raises(ValueError, match="^entry 'e': "):
+                load_entries(path)
+        else:
+            assert load_entries(path) == expected
+
+    def test_canonical_file_shares_one_pair_array(self, tmp_path):
+        entries = [entry("a", "ACDY", pairs=[(0, 2), (1, 3)]), entry("b", "AC"),
+                   entry("c", "ACD", pairs=[(0, 1), (0, 2), (1, 2)], label=2)]
+        saved_text(tmp_path, entries)
+        loaded = load_entries(tmp_path / "processed.tsv")
+        assert loaded == entries
+        assert loaded[0].contact_map.ij.base is loaded[2].contact_map.ij.base is not None
 
 
 # Index bytes: arbitrary, or rows of tab-separated fields drawn from
